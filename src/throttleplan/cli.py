@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import sys
 import time
 
@@ -45,6 +46,10 @@ def _echo(cmd: str, **fields) -> None:
 
 
 def _resolve_capacity(args, pop: Population) -> float:
+    for flag, value in (("--capacity", args.capacity),
+                        ("--capacity-fraction", args.capacity_fraction)):
+        if value is not None and not math.isfinite(value):
+            raise ThrottlePlanError(f"{flag} must be a finite number, got {value}")
     if args.capacity is not None:
         return args.capacity
     if args.capacity_fraction is not None:
@@ -121,7 +126,7 @@ def cmd_optimize(args) -> int:
         print("T=inf r=inf regret=0")
         return 0
     if args.mode == "download":
-        sol = optimize_download(pop, cap, params)
+        sol = optimize_download(pop, cap, params, with_intervals=False)
         plan, extras = sol.plan, ()
     else:
         codecs = CodecSet.parse(args.codecs) if args.codecs else None
@@ -162,7 +167,7 @@ def cmd_tiers(args) -> int:
           prices=args.prices, kappa=args.kappa, capacity=f"{cap:.6f}")
     if len(prices) == 1:
         # a single tier is just the plain optimizer
-        sol = optimize_download(pop, cap, params)
+        sol = optimize_download(pop, cap, params, with_intervals=False)
         print(
             f"T={sol.plan.threshold:.6f} r={sol.plan.rate:.6f} regret={sol.regret:.6f}"
         )
@@ -248,7 +253,7 @@ def cmd_simulate(args) -> int:
         if cap >= pop.total_demand:
             plan = Plan.no_throttling(mode)
         elif mode is Mode.DOWNLOAD:
-            plan = optimize_download(pop, cap, params).plan
+            plan = optimize_download(pop, cap, params, with_intervals=False).plan
         else:
             if not args.codecs:
                 raise ThrottlePlanError("--optimize in stream mode requires --codecs")

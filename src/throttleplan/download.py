@@ -84,46 +84,11 @@ class _Ladder:
         self.suf_inv = np.concatenate((np.cumsum(inv[::-1])[::-1], [0.0]))
         self.t_hat, self.k_hat = _max_threshold_sorted(self.ds, self.prefix, capacity)
 
-    def rate_at(self, k: int, t: float) -> float:
-        """Capacity-tight rate with the throttled suffix ds[k:] at threshold t."""
-        h = self.n - k
-        if h == 0:
-            return 0.0
-        denom = h - t * self.suf_inv[k]
-        if denom <= 1e-12:
-            return 0.0
-        return max((self.capacity - self.prefix[k] - h * t) / denom, 0.0)
-
-    def fixed_point_k(self, t: float) -> int:
-        """Smallest consistent throttled suffix at threshold t.
-
-        Monotone in the candidate rate, so it settles in at most n steps.
-        """
-        k = int(np.searchsorted(self.ds, t, side="right"))
-        for _ in range(self.n + 1):
-            if k >= self.n:
-                return self.n
-            r = self.rate_at(k, t)
-            k2 = int(np.searchsorted(self.ds, max(t, r), side="right"))
-            if k2 == k:
-                return k
-            k = k2
-        raise AssertionError("throttled-set fixed point failed to settle")
-
     def fixed_point_vec(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized fixed point: (k, capacity-tight r) for many thresholds."""
         k = np.searchsorted(self.ds, ts, side="right").astype(np.int64)
-        r = np.zeros_like(ts)
         for _ in range(self.n + 1):
-            h = self.n - k
-            denom = h - ts * self.suf_inv[k]
-            safe = (denom > 1e-12) & (h > 0)
-            r = np.where(
-                safe,
-                (self.capacity - self.prefix[k] - h * ts) / np.where(safe, denom, 1.0),
-                0.0,
-            )
-            np.clip(r, 0.0, None, out=r)
+            r = self.rate_vec(k, ts)
             k2 = np.searchsorted(self.ds, np.maximum(ts, r), side="right").astype(np.int64)
             if np.array_equal(k2, k):
                 break

@@ -158,14 +158,6 @@ def load_population(path) -> Population:
     return Population(users)
 
 
-def _reindexed(profiles: list[UserProfile]) -> Population:
-    """Sort by rate and assign ids 0..n-1 in rate order."""
-    profiles = sorted(profiles, key=lambda u: u.rate)
-    return Population(
-        UserProfile(i, u.rate, u.activity, u.tier) for i, u in enumerate(profiles)
-    )
-
-
 def generate_codec_uniform(
     n: int,
     codec_rates: Sequence[float],
@@ -189,10 +181,10 @@ def generate_codec_uniform(
     rng = np.random.default_rng(seed)
     chosen_rates = rng.choice(rates, size=n)
     chosen_acts = rng.choice(grid, size=n)
-    profiles = [
-        UserProfile(i, float(r), float(a)) for i, (r, a) in enumerate(zip(chosen_rates, chosen_acts))
-    ]
-    return _reindexed(profiles)
+    # a stable sort keeps draw order among equal codec rates
+    order = np.argsort(chosen_rates, kind="stable")
+    pairs = zip(chosen_rates[order].tolist(), chosen_acts[order].tolist())
+    return Population(UserProfile(i, r, a) for i, (r, a) in enumerate(pairs))
 
 
 def generate_lognormal(
@@ -210,9 +202,8 @@ def generate_lognormal(
     if not (0 < activity <= 1):
         raise ValidationError(f"activity must be in (0, 1], got {activity}")
     rng = np.random.default_rng(seed)
-    rates = rng.lognormal(mean=mu, sigma=sigma, size=n)
-    profiles = [UserProfile(i, float(r), activity) for i, r in enumerate(rates)]
-    return _reindexed(profiles)
+    rates = np.sort(rng.lognormal(mean=mu, sigma=sigma, size=n), kind="stable")
+    return Population(UserProfile(i, r, activity) for i, r in enumerate(rates.tolist()))
 
 
 def assign_tiers_binomial(pop: Population, n_tiers: int = 3, seed: int = DEFAULT_SEED) -> Population:

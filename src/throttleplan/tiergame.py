@@ -8,8 +8,9 @@ low-demand users and the game resembles a leader/follower pricing game:
 * two tiers: exact Nash enumeration over all assignments plus a sweep over
   capacity splits;
 * many tiers: the operator's joint threshold problem (capacity used exactly,
-  r_j = T_j) solved as a small constrained minimization, alternated with
-  sequential best responses by the users.
+  r_j = T_j) solved with SLSQP, alternated with sequential best responses
+  by the users.  There is no fallback solver: an SLSQP failure raises
+  ThrottlePlanError with the solver's message.
 
 All tier games run on download traffic; demands fold activity in.
 """
@@ -18,20 +19,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import brentq, minimize
 
 from .allocation import Mode, Plan
 from .download import optimize_demands
 from .errors import InfeasibleError, ThrottlePlanError, ValidationError
 from .population import DEFAULT_SEED, Population, assign_tiers_binomial
-from .regret import DEFAULT_RHO, RegretParams, user_regret
+from .regret import DEFAULT_RHO, RegretParams, tiered_aggregate_regret, tiered_user_regret, user_regret
 
 ENUMERATION_CAP = 20
 SWEEP_STEP = 0.01
 MAX_ITERS = 100
+
+# (ascending member indices, capacity share) -> the tier's download plan
+PlanFn = Callable[[tuple[int, ...], float], Plan]
 
 
 @dataclass(frozen=True)
@@ -151,51 +156,51 @@ def optimize_tier(
         raise ValidationError("duplicate member indices")
     if members and not (0 <= members[0] and members[-1] < len(pop)):
         raise ValidationError("member index out of range")
+    if mode is Mode.DOWNLOAD:
+        return _download_plan(pop.demands, members, share, params.rho)
     if not members:
         return Plan(0.0, 0.0, mode)
-    demands = pop.demands[list(members)]
-    if share >= float(demands.sum()):
+    if share >= float(pop.demands[list(members)].sum()):
         return Plan(share, share, mode)
-    if mode is Mode.STREAMING:
-        from .streaming import optimize_streaming
+    from .streaming import optimize_streaming
 
-        if codecs is None:
-            raise ValidationError("streaming tiers require a codec set")
-        sol = optimize_streaming(pop.select(members), share, codecs, params)
-        return sol.plan
-    t, r, _ = optimize_demands(demands, share, params.rho)
+    if codecs is None:
+        raise ValidationError("streaming tiers require a codec set")
+    return optimize_streaming(pop.select(members), share, codecs, params).plan
+
+
+def _download_plan(demands: np.ndarray, members: tuple[int, ...], share: float, rho: float) -> Plan:
+    """The one path from a tier's members (ascending) and share to its plan.
+
+    Empty tiers get the zero plan; a share covering the members' demand gets
+    the no-throttling convention T = r = share.  Only the two-tier
+    enumeration memoizes it (per split), where keys recur across assignments.
+    """
+    if not members:
+        return Plan(0.0, 0.0, Mode.DOWNLOAD)
+    d = demands[list(members)]
+    if share >= float(d.sum()):
+        return Plan(share, share, Mode.DOWNLOAD)
+    t, r, _ = optimize_demands(d, share, rho)
     return Plan(t, r, Mode.DOWNLOAD)
 
 
-class _PlanCache:
-    """Memoized download-tier plans keyed by (member tuple, share)."""
-
-    def __init__(self, pop: Population, rho: float):
-        self.demands = pop.demands
-        self.rho = rho
-        self.cache: dict[tuple[tuple[int, ...], float], Plan] = {}
-
-    def plan(self, members: tuple[int, ...], share: float) -> Plan:
-        key = (members, share)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        if not members:
-            plan = Plan(0.0, 0.0, Mode.DOWNLOAD)
-        else:
-            d = self.demands[list(members)]
-            total = float(d.sum())
-            if share >= total:
-                plan = Plan(share, share, Mode.DOWNLOAD)
-            else:
-                t, r, _ = optimize_demands(d, share, self.rho)
-                plan = Plan(t, r, Mode.DOWNLOAD)
-        self.cache[key] = plan
-        return plan
+def _move_regret(
+    pop: Population, plan: PlanFn, target: Sequence[int], user: int,
+    share: float, price: float, params: RegretParams,
+) -> tuple[float, Plan]:
+    """(regret, re-planned target) of ``user`` joining tier ``target`` at its share."""
+    target_plan = plan(tuple(sorted((*target, user))), share)
+    return tiered_user_regret(pop[user], target_plan, price, params), target_plan
 
 
-def _member_regret(pop: Population, user: int, plan: Plan, price: float, params: RegretParams) -> float:
-    return params.kappa * price + user_regret(pop[user], plan, params)
+def _total_regret(
+    pop: Population, plan: PlanFn, members: list[tuple[int, ...]],
+    shares: Sequence[float], prices: Sequence[float], params: RegretParams,
+) -> float:
+    """Regret over all tiers, each planned at its share, price terms included."""
+    plans = [plan(m, share) for m, share in zip(members, shares)]
+    return tiered_aggregate_regret(pop, members, plans, list(prices), params)
 
 
 def deviation_regret(
@@ -208,8 +213,8 @@ def deviation_regret(
 ) -> float:
     """Regret the user would carry after unilaterally switching tiers.
 
-    Both affected tiers re-optimize their plans for the new memberships at
-    unchanged capacity shares; the mover then pays the target tier's price
+    The target tier re-optimizes its plan for the new membership at its
+    unchanged capacity share; the mover then pays the target tier's price
     plus its throttle regret.
     """
     params = _game_params(config, params)
@@ -218,13 +223,12 @@ def deviation_regret(
         raise ValidationError("target tier equals the user's current tier")
     if not (0 <= target_tier < config.n_tiers):
         raise ValidationError(f"no such tier {target_tier}")
-    members = assignment.members()
-    new_target = tuple(sorted(members[target_tier] + (user,)))
-    new_source = tuple(i for i in members[current] if i != user)
-    cache = _PlanCache(pop, params.rho)
-    target_plan = cache.plan(new_target, config.capacity_shares[target_tier])
-    cache.plan(new_source, config.capacity_shares[current])  # source re-plans too
-    return _member_regret(pop, user, target_plan, config.prices[target_tier], params)
+    plan = partial(_download_plan, pop.demands, rho=params.rho)
+    regret, _ = _move_regret(
+        pop, plan, assignment.members()[target_tier], user,
+        config.capacity_shares[target_tier], config.prices[target_tier], params,
+    )
+    return regret
 
 
 def _improving_moves(
@@ -232,24 +236,21 @@ def _improving_moves(
     config: TierConfig,
     assignment: Assignment,
     params: RegretParams,
-    cache: _PlanCache,
+    plan: PlanFn,
     first_only: bool = False,
 ) -> list[tuple[int, int, float]]:
     """All (user, target tier, regret drop) strict improvements."""
     members = assignment.members()
-    plans = [
-        cache.plan(m, config.capacity_shares[j]) for j, m in enumerate(members)
-    ]
+    shares, prices = config.capacity_shares, config.prices
+    plans = [plan(m, share) for m, share in zip(members, shares)]
     out: list[tuple[int, int, float]] = []
     for u in range(len(pop)):
         a = assignment.tier_of[u]
-        cur = _member_regret(pop, u, plans[a], config.prices[a], params)
+        cur = tiered_user_regret(pop[u], plans[a], prices[a], params)
         for b in range(config.n_tiers):
             if b == a:
                 continue
-            new_target = tuple(sorted(members[b] + (u,)))
-            plan_b = cache.plan(new_target, config.capacity_shares[b])
-            dev = _member_regret(pop, u, plan_b, config.prices[b], params)
+            dev, _ = _move_regret(pop, plan, members[b], u, shares[b], prices[b], params)
             if dev < cur:
                 out.append((u, b, cur - dev))
                 if first_only:
@@ -271,9 +272,37 @@ def check_equilibrium(
     params = _game_params(config, params)
     if len(assignment.tier_of) != len(pop):
         raise ValidationError("assignment size must match population")
-    cache = _PlanCache(pop, params.rho)
-    improving = _improving_moves(pop, config, assignment, params, cache)
+    plan = partial(_download_plan, pop.demands, rho=params.rho)
+    improving = _improving_moves(pop, config, assignment, params, plan)
     return (not improving, improving)
+
+
+def _check_two_tier(pop: Population, config: TierConfig) -> None:
+    if config.n_tiers != 2:
+        raise ValidationError("equilibrium enumeration handles exactly 2 tiers")
+    if len(pop) > ENUMERATION_CAP:
+        raise ValidationError(
+            f"{len(pop)} users exceeds the enumeration cap of {ENUMERATION_CAP} "
+            f"(2^n assignments); use stackelberg_iterate instead"
+        )
+
+
+def _nash_assignments(
+    pop: Population, config: TierConfig, params: RegretParams, plan: PlanFn
+) -> list[Assignment]:
+    """Every Nash assignment of a two-tier game at the config's shares."""
+    n = len(pop)
+    found: list[Assignment] = []
+    for bits in range(1 << n):
+        assignment = Assignment(tuple((bits >> i) & 1 for i in range(n)), 2)
+        if not _improving_moves(pop, config, assignment, params, plan, first_only=True):
+            found.append(assignment)
+    return found
+
+
+def _split_config(config: TierConfig, split: float) -> TierConfig:
+    total = config.capacity
+    return config.with_shares((split * total, (1.0 - split) * total))
 
 
 def enumerate_equilibria(
@@ -288,43 +317,13 @@ def enumerate_equilibria(
     all 2^n assignments, so populations are capped at ENUMERATION_CAP users;
     use stackelberg_iterate beyond that.
     """
-    if config.n_tiers != 2:
-        raise ValidationError("equilibrium enumeration handles exactly 2 tiers")
+    _check_two_tier(pop, config)
     if not (0.0 <= split <= 1.0):
         raise ValidationError(f"split must be in [0, 1], got {split}")
-    n = len(pop)
-    if n > ENUMERATION_CAP:
-        raise ValidationError(
-            f"{n} users exceeds the enumeration cap of {ENUMERATION_CAP} "
-            f"(2^n assignments); use stackelberg_iterate instead"
-        )
     params = _game_params(config, params)
-    total = config.capacity
-    cfg = config.with_shares((split * total, (1.0 - split) * total))
-    cache = _PlanCache(pop, params.rho)
-    found: list[str] = []
-    for bits in range(1 << n):
-        tiers = tuple((bits >> i) & 1 for i in range(n))
-        assignment = Assignment(tiers, 2)
-        if not _improving_moves(pop, cfg, assignment, params, cache, first_only=True):
-            found.append(assignment.class_id)
-    return found
-
-
-def _assignment_regret(
-    pop: Population,
-    config: TierConfig,
-    assignment: Assignment,
-    params: RegretParams,
-    cache: _PlanCache,
-) -> float:
-    """Total regret over all tiers, price terms included for every member."""
-    total = 0.0
-    for j, m in enumerate(assignment.members()):
-        plan = cache.plan(m, config.capacity_shares[j])
-        for u in m:
-            total += _member_regret(pop, u, plan, config.prices[j], params)
-    return total
+    plan = cache(partial(_download_plan, pop.demands, rho=params.rho))
+    found = _nash_assignments(pop, _split_config(config, split), params, plan)
+    return [a.class_id for a in found]
 
 
 def sweep_splits(
@@ -340,20 +339,21 @@ def sweep_splits(
     """
     if not (0.0 < step < 1.0):
         raise ValidationError(f"step must be in (0, 1), got {step}")
+    _check_two_tier(pop, config)
     params = _game_params(config, params)
-    total = config.capacity
     n_steps = int(math.floor(1.0 / step + 1e-9))
     splits = [min(i * step, 1.0) for i in range(n_steps + 1)]
     if splits[-1] < 1.0 - 1e-12:
         splits.append(1.0)
     points: list[SweepPoint] = []
-    cache = _PlanCache(pop, params.rho)
     for split in splits:
-        cfg = config.with_shares((split * total, (1.0 - split) * total))
-        ids = enumerate_equilibria(pop, config, split, params)
+        cfg = _split_config(config, split)
+        # the enumeration and the regret statistics share one memo per split
+        plan = cache(partial(_download_plan, pop.demands, rho=params.rho))
         pairs = tuple(
-            (cid, _assignment_regret(pop, cfg, Assignment.from_class_id(cid, 2), params, cache))
-            for cid in ids
+            (a.class_id, _total_regret(pop, plan, a.members(), cfg.capacity_shares,
+                                       cfg.prices, params))
+            for a in _nash_assignments(pop, cfg, params, plan)
         )
         regs = [r for _, r in pairs]
         points.append(
@@ -394,11 +394,13 @@ def solve_multi_tier(
 
     Rates are pinned to thresholds (r_j = T_j), so the operator chooses one
     T_j per tier subject to total consumption equaling capacity.  Each T_j
-    is box-bounded (default: min and max demand over the whole population),
-    solved with SLSQP from a feasible start, with a penalty-plus-coordinate-
-    descent fallback; the equality residual is repaired to <= 1e-6 * C.
-    Tiers that end up unthrottled report their largest member demand; empty
-    tiers report 0.
+    is box-bounded (default: min and max demand over the whole population)
+    and solved with SLSQP from a feasible start; the equality residual is
+    then repaired to <= 1e-6 * C.  There is no fallback solver: raises
+    ThrottlePlanError carrying SLSQP's message when SLSQP reports failure,
+    and ThrottlePlanError when the repaired residual still exceeds the
+    tolerance.  Tiers that end up unthrottled report their largest member
+    demand; empty tiers report 0.
     """
     if params.tau != params.rho:
         raise ValidationError("multi-tier optimization requires rho == tau")
@@ -472,10 +474,9 @@ def solve_multi_tier(
         constraints=[{"type": "eq", "fun": residual}],
         options={"ftol": 1e-12, "maxiter": 500},
     )
-    ts = np.clip(res.x, lo, hi) if res.success else None
-    if ts is None or abs(residual(ts)) > tol:
-        ts = _penalty_descent(ds, capacity, params.rho, lo, hi, start)
-    ts = _repair_equality(ds, capacity, ts, lo, hi)
+    if not res.success:
+        raise ThrottlePlanError(f"SLSQP failed on the joint threshold problem: {res.message}")
+    ts = _repair_equality(ds, capacity, np.clip(res.x, lo, hi), lo, hi)
     if abs(residual(ts)) > tol:
         raise ThrottlePlanError(
             f"capacity residual {abs(residual(ts)):.3g} exceeds tolerance {tol:.3g}"
@@ -483,34 +484,6 @@ def solve_multi_tier(
     for j, t in zip(active, ts):
         out[j] = clamp(j, float(t))
     return out
-
-
-def _penalty_descent(
-    ds: list[np.ndarray], capacity: float, rho: float, lo: float, hi: float, start: np.ndarray
-) -> np.ndarray:
-    """Quadratic-penalty coordinate descent fallback for the joint problem."""
-    ts = start.astype(float).copy()
-    m = len(ds)
-    scale = max(capacity, 1.0)
-    for weight in (1e2, 1e4, 1e6, 1e8, 1e10):
-
-        def penalized(t: float, j: int) -> float:
-            old = ts[j]
-            ts[j] = t
-            gap = (capacity - sum(_tier_consumption(d, x) for d, x in zip(ds, ts))) / scale
-            val = sum(_tier_objective(d, x, rho) for d, x in zip(ds, ts)) + weight * gap * gap
-            ts[j] = old
-            return val
-
-        for _ in range(30):
-            moved = 0.0
-            for j in range(m):
-                r = minimize_scalar(penalized, bounds=(lo, hi), method="bounded", args=(j,))
-                moved = max(moved, abs(float(r.x) - ts[j]))
-                ts[j] = float(r.x)
-            if moved < 1e-11:
-                break
-    return ts
 
 
 def _repair_equality(
@@ -566,8 +539,7 @@ def stackelberg_iterate(
     prices = tuple(float(p) for p in prices)
     if len(prices) < 2:
         raise ValidationError("stackelberg game needs at least 2 tiers")
-    if any(b <= a for a, b in zip(prices, prices[1:])):
-        raise ValidationError("prices must be strictly ascending")
+    TierConfig(prices, kappa, (0.0,) * len(prices))  # validates prices and kappa
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
     params = RegretParams(rho=rho, kappa=kappa)
@@ -588,7 +560,8 @@ def stackelberg_iterate(
     if max_iters == 0:
         return EquilibriumReport(False, 0, assignment, (), math.nan, ())
 
-    cache = _PlanCache(pop, params.rho)
+    # no memo: fewer than 3% of the (members, share) keys repeat here
+    plan = partial(_download_plan, pop.demands, rho=params.rho)
     seen = {assignment.tier_of}
     prev_ts: np.ndarray | None = None
     converged = False
@@ -620,17 +593,14 @@ def stackelberg_iterate(
             for b in range(k):
                 if b == a:
                     continue
-                cand = tuple(sorted(member_lists[b] + [u]))
-                plan_b = cache.plan(cand, shares[b])
-                dev = params.kappa * prices[b] + user_regret(pop[u], plan_b, params)
+                dev, plan_b = _move_regret(pop, plan, member_lists[b], u, shares[b], prices[b], params)
                 if dev < best_dev:
                     best_dev, best_b, best_plan = dev, b, plan_b
             if best_b is not None:
                 member_lists[a].remove(u)
                 member_lists[best_b].append(u)
                 member_lists[best_b].sort()
-                src = tuple(member_lists[a])
-                cur_plans[a] = cache.plan(src, shares[a])
+                cur_plans[a] = plan(tuple(member_lists[a]), shares[a])
                 cur_plans[best_b] = best_plan
                 new_tiers = list(assignment.tier_of)
                 new_tiers[u] = best_b
@@ -650,11 +620,5 @@ def stackelberg_iterate(
                 break  # deterministic dynamics revisiting a state: a cycle
             seen.add(assignment.tier_of)
 
-    regret = _assignment_regret(
-        pop,
-        TierConfig(prices, kappa, shares if shares else (0.0,) * k),
-        assignment,
-        params,
-        cache,
-    )
+    regret = _total_regret(pop, plan, members, shares, prices, params)
     return EquilibriumReport(converged, iterations, assignment, plans, regret, shares)

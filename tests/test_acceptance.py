@@ -5,6 +5,7 @@ asserts, so a plain ``pytest -v -s tests/test_acceptance.py`` reads as a
 checklist.  Tolerances and runtime budgets are part of the gates.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -261,21 +262,31 @@ def _monotone_up_to_ties(rates, tiers) -> bool:
     return True
 
 
+# SHA-256 over the ten seeds' "class_id,iterations,converged" lines, recorded
+# before the tier game's plan path was refactored: the dynamics must not move
+CRITERION_08_OUTCOMES_SHA256 = "2c2c881be17a7f6e6615bafd72aac74a3835e5fd8f02901dd8b29bd1ffa0265c"
+
+
 def test_criterion_08_stackelberg_convergence():
     t0 = time.perf_counter()
     prices = (0.5, 0.75, 1.0)
     converged = 0
     failures = []
+    outcomes = hashlib.sha256()
     for seed in range(10):
         pop = generate_lognormal(300, 0.0, 0.5, seed=seed)
         report = stackelberg_iterate(
             pop, prices, 0.95 * pop.total_demand, kappa=0.05, max_iters=100, seed=seed
         )
+        line = f"{report.assignment.class_id},{report.iterations},{report.converged}\n"
+        outcomes.update(line.encode())
         if report.converged:
             converged += 1
             if not _monotone_up_to_ties(pop.rates, report.assignment.tier_of):
                 failures.append(f"seed {seed}: converged assignment not monotone in rate")
     elapsed = time.perf_counter() - t0
+    if outcomes.hexdigest() != CRITERION_08_OUTCOMES_SHA256:
+        failures.append("final class IDs, iteration counts or convergence flags changed")
     if converged < 8:
         failures.append(f"only {converged}/10 seeds converged, want >= 8")
     if elapsed >= 300.0:

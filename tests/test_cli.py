@@ -92,6 +92,27 @@ def test_optimize_requires_capacity(pop4, tmp_path):
     assert "one of --capacity / --capacity-fraction is required" in err
 
 
+NON_FINITE_ARGV = {
+    "optimize": ["optimize"],
+    "tiers": ["tiers", "stackelberg", "--prices", "0.5,1.0"],
+    "simulate": ["simulate", "--plan", "0.3,0.1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_FINITE_ARGV))
+@pytest.mark.parametrize("flag", ["--capacity", "--capacity-fraction"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_capacity_exits_2(pop4, tmp_path, command, flag, value):
+    path = write_pop(pop4, tmp_path)
+    argv = NON_FINITE_ARGV[command] + ["--pop", path, f"{flag}={value}"]
+    if command == "simulate":
+        argv += ["--out-prefix", tmp_path / "x"]
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {flag} must be a finite number, got {value}"]
+
+
 def test_optimize_stream(stream3, tmp_path):
     path = write_pop(stream3, tmp_path)
     code, out, _ = run(

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from throttleplan import (
     Assignment,
     CodecSet,
     Mode,
     RegretParams,
+    ThrottlePlanError,
     TierConfig,
     ValidationError,
     check_equilibrium,
@@ -17,6 +20,7 @@ from throttleplan import (
     solve_multi_tier,
     stackelberg_iterate,
     sweep_splits,
+    tiergame,
 )
 
 P2 = RegretParams()
@@ -187,6 +191,20 @@ def test_solve_multi_tier_validation(pop4):
         solve_multi_tier(pop4, nash, 1.8, RegretParams(rho=2.0, tau=3.0))
     with pytest.raises(ValidationError):
         solve_multi_tier(pop4, Assignment.from_class_id("011", 2), 1.8, P2)
+
+
+def test_solve_multi_tier_raises_when_slsqp_fails(pop4, monkeypatch):
+    # there is no fallback solver: an SLSQP failure surfaces with its message
+    def failing_minimize(fun, x0, **kwargs):
+        return OptimizeResult(
+            x=np.asarray(x0, dtype=float), success=False,
+            message="Positive directional derivative for linesearch",
+        )
+
+    monkeypatch.setattr(tiergame, "minimize", failing_minimize)
+    nash = Assignment.from_class_id("0111", 2)
+    with pytest.raises(ThrottlePlanError, match="Positive directional derivative for linesearch"):
+        solve_multi_tier(pop4, nash, 1.8, P2)
 
 
 def test_stackelberg_small_instance():
