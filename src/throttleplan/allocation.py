@@ -43,9 +43,10 @@ class Plan:
     mode: Mode
 
     def __post_init__(self):
-        if self.threshold < 0:
+        # written as "not >= 0" so that NaN fails too; inf is the no-throttling sentinel
+        if not self.threshold >= 0:
             raise ValidationError(f"threshold must be >= 0, got {self.threshold}")
-        if self.rate < 0:
+        if not self.rate >= 0:
             raise ValidationError(f"rate must be >= 0, got {self.rate}")
 
     @property
@@ -97,9 +98,12 @@ def post_throttle_activity(user: UserProfile, rate: float, mode: Mode) -> float:
     """
     if mode is Mode.STREAMING:
         return user.activity
-    if rate <= 0:
-        return 1.0
-    return min(user.demand / rate, 1.0)
+    return _download_activity(user.demand, rate)
+
+
+def _download_activity(demand: float, rate: float) -> float:
+    """Post-throttle activity of a download user with this demand."""
+    return 1.0 if rate <= 0 else min(demand / rate, 1.0)
 
 
 def _throttled_mask(pop: Population, threshold: float, rate: float, mode: Mode) -> np.ndarray:

@@ -296,9 +296,10 @@ def cmd_simulate(args) -> int:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["hour", "user", "state"])
             st = throttled.per_user_state
+            ids = pop.ids.tolist()
             for h in range(st.shape[1]):
                 for u in range(st.shape[0]):
-                    w.writerow([h, pop[u].id, UserState(st[u, h]).name.lower()])
+                    w.writerow([h, ids[u], UserState(st[u, h]).name.lower()])
     zero_hours = int(np.sum(unthrottled.hourly_total == 0))
     ratio = variability_ratio(throttled, unthrottled)
     if plan.throttles:

@@ -19,7 +19,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .allocation import Mode, Plan, post_throttle_activity
+from .allocation import Mode, Plan, _download_activity
 from .errors import ValidationError
 from .population import DEFAULT_SEED, Population
 
@@ -108,7 +108,8 @@ def simulate(pop: Population, config: SimConfig) -> CycleTrace:
     states = np.zeros((n, hours), dtype=np.int8) if config.record_states else None
 
     children = np.random.SeedSequence(config.seed).spawn(n)
-    for u, (user, child) in enumerate(zip(pop, children)):
+    columns = zip(pop.rates.tolist(), pop.activities.tolist(), pop.demands.tolist(), children)
+    for u, (rate, activity, demand, child) in enumerate(columns):
         rng = np.random.default_rng(child)
         start_day = int(rng.integers(0, config.days_per_cycle))
         starts[u] = start_day
@@ -116,21 +117,21 @@ def simulate(pop: Population, config: SimConfig) -> CycleTrace:
         span = burn + hours
         uniforms = rng.random(span)
         hods = (np.arange(span) - burn) % config.hours_per_day
-        x_prob = _activity_profile(user.activity, hods, config.diurnal)
+        x_prob = _activity_profile(activity, hods, config.diurnal)
 
         if not plan.throttles:
             active = uniforms < x_prob
-            consume = np.where(active, user.rate / cycle, 0.0)
+            consume = np.where(active, rate / cycle, 0.0)
             state = active.astype(np.int8)
         else:
             if plan.mode is Mode.DOWNLOAD:
-                y = post_throttle_activity(user, plan.rate, Mode.DOWNLOAD)
+                y = _download_activity(demand, plan.rate)
                 y_prob = _activity_profile(y, hods, config.diurnal)
             else:
                 y_prob = x_prob
             consume = np.empty(span)
             state = np.empty(span, dtype=np.int8)
-            step_full = user.rate / cycle
+            step_full = rate / cycle
             step_slow = plan.rate / cycle
             for c0 in range(0, span, cycle):
                 c1 = min(c0 + cycle, span)

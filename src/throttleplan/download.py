@@ -59,6 +59,19 @@ class DownloadSolution:
     intervals: tuple[IntervalResult, ...]
 
 
+#: Most points a sampled curve or a split sweep may have; a finer step is
+#: rejected before its grid is allocated.
+MAX_GRID_POINTS = 10**6
+
+
+def _check_grid_size(points: float) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"a grid of {points:.3g} points exceeds the cap of {MAX_GRID_POINTS}; "
+            "use a coarser step"
+        )
+
+
 def _check_params(params: RegretParams) -> None:
     if params.tau != params.rho:
         raise ValidationError(
@@ -287,11 +300,12 @@ def threshold_curve(
     aggregate at (T, r).
     """
     _check_params(params)
-    if step <= 0:
+    if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
     if capacity >= pop.total_demand:
         raise ValidationError("curve is undefined when capacity covers demand")
     lad = _Ladder(pop.demands, capacity)
+    _check_grid_size(lad.t_hat / step)
     grid = np.arange(0.0, lad.t_hat, step)
     grid = np.append(grid, lad.t_hat)
     k, r = lad.fixed_point_vec(grid)

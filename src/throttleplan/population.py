@@ -3,16 +3,18 @@
 A user is described by a desired bandwidth rate (the rate they consume while
 active, in the same units as link capacity), an activity ratio in (0, 1]
 (the fraction of time they are active), and an optional tier index for
-multi-tier plans.  Populations keep their users sorted by rate ascending so
-that downstream code can rely on the ordering.
+multi-tier plans.  A population stores its users as columns sorted by rate
+ascending, so downstream code can rely on the ordering and read whole
+columns at once.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+import math
+from array import array
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +27,9 @@ DEFAULT_SEED = 20260819
 DEFAULT_ACTIVITY_GRID = tuple(np.round(np.arange(1, 101) / 100.0, 2))
 
 
+_NO_TIER = -1  # tier column entry of a user without a tier
+
+
 @dataclass(frozen=True)
 class UserProfile:
     """One subscriber: desired rate, activity ratio, optional tier index."""
@@ -35,8 +40,10 @@ class UserProfile:
     tier: int | None = None
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValidationError(f"user {self.id}: rate must be positive, got {self.rate}")
+        if not (0 < self.rate < math.inf):
+            raise ValidationError(
+                f"user {self.id}: rate must be positive and finite, got {self.rate}"
+            )
         if not (0 < self.activity <= 1):
             raise ValidationError(
                 f"user {self.id}: activity must be in (0, 1], got {self.activity}"
@@ -50,67 +57,105 @@ class UserProfile:
         return self.rate * self.activity
 
 
-@dataclass(frozen=True)
-class Population:
-    """An immutable collection of users, sorted by rate ascending."""
+def _int64(values, bad: Callable[[int, str], ValidationError], name: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+        raise bad(i, f"{name} {values[i]} does not fit in int64") from None
 
-    users: tuple[UserProfile, ...] = field(default_factory=tuple)
+
+class Population:
+    """Users stored as read-only numpy columns, sorted by rate.
+
+    ``ids``, ``rates``, ``activities`` and ``demands`` keep users of equal
+    rate in their input order.  ``pop[i]`` and iteration give
+    :class:`UserProfile` views, which hot loops should avoid.
+    """
+
+    __slots__ = ("ids", "rates", "activities", "demands", "total_demand", "_tiers")
 
     def __init__(self, users: Iterable[UserProfile]):
-        ordered = tuple(sorted(users, key=lambda u: u.rate))
-        if not ordered:
-            raise ValidationError("population must contain at least one user")
-        seen: set[int] = set()
-        for u in ordered:
-            if u.id in seen:
-                raise ValidationError(f"duplicate user id {u.id}")
-            seen.add(u.id)
-        object.__setattr__(self, "users", ordered)
+        users = list(users)
+        self._set_columns([u.id for u in users], [u.rate for u in users],
+                          [u.activity for u in users], [u.tier for u in users])
+
+    @classmethod
+    def _from_columns(cls, *columns, line_of=None) -> "Population":
+        pop = cls.__new__(cls)
+        pop._set_columns(*columns, line_of=line_of)
+        return pop
+
+    def _set_columns(self, ids, rates, activities, tiers=None, line_of=None) -> None:
+        """Validate rows in input order, then store them stable-sorted by rate.
+
+        ``tiers`` has a tier index or None per user, or is None for no tiers.
+        A bad row raises ValidationError, or ParseError at ``line_of(row)``."""
+
+        def bad(i: int, message: str) -> ValidationError:
+            return ValidationError(message) if line_of is None else ParseError(message, line_of(i))
+
+        n = len(rates)
+        if n == 0:
+            raise bad(0, "population must contain at least one user")
+        ids = _int64(ids, bad, "id")
+        rates, activities = np.asarray(rates, dtype=float), np.asarray(activities, dtype=float)
+        flagged = ~((rates > 0) & (rates < math.inf) & (activities > 0) & (activities <= 1))
+        tier_col = np.full(n, _NO_TIER)
+        if tiers is not None and any(t is not None for t in tiers):
+            flagged |= np.array([t is not None and t < 0 for t in tiers])
+            tier_col = _int64([_NO_TIER if t is None else t for t in tiers], bad, "tier")
+        if flagged.any():
+            i = int(np.argmax(flagged))
+            try:  # the row's own checks word the message
+                UserProfile(int(ids[i]), float(rates[i]), float(activities[i]),
+                            None if tiers is None else tiers[i])
+            except ValidationError as exc:
+                raise bad(i, str(exc)) from None
+        _, first = np.unique(ids, return_index=True)
+        if first.size < n:
+            i = int(np.setdiff1d(np.arange(n), first)[0])  # the first repeat, in input order
+            raise bad(i, f"duplicate user id {ids[i]}")
+        order = np.argsort(rates, kind="stable")
+        self.ids, self.rates, self.activities, self._tiers = (
+            col[order] for col in (ids, rates, activities, tier_col))
+        self.demands = self.rates * self.activities
+        self.total_demand = float(self.demands.sum())
+        for col in (self.ids, self.rates, self.activities, self.demands, self._tiers):
+            col.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.users)
+        return len(self.rates)
 
     def __iter__(self) -> Iterator[UserProfile]:
-        return iter(self.users)
+        return map(UserProfile, self.ids.tolist(), self.rates.tolist(),
+                   self.activities.tolist(), self.tiers())
 
     def __getitem__(self, i: int) -> UserProfile:
-        return self.users[i]
+        tier = int(self._tiers[i])
+        return UserProfile(int(self.ids[i]), float(self.rates[i]), float(self.activities[i]),
+                           None if tier == _NO_TIER else tier)
 
-    @cached_property
-    def rates(self) -> np.ndarray:
-        return np.array([u.rate for u in self.users], dtype=float)
-
-    @cached_property
-    def activities(self) -> np.ndarray:
-        return np.array([u.activity for u in self.users], dtype=float)
-
-    @cached_property
-    def demands(self) -> np.ndarray:
-        return self.rates * self.activities
-
-    @cached_property
-    def total_demand(self) -> float:
-        return float(self.demands.sum())
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Population) and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in ("ids", "rates", "activities", "_tiers"))
 
     def tiers(self) -> list[int | None]:
-        return [u.tier for u in self.users]
+        return [None if t == _NO_TIER else t for t in self._tiers.tolist()]
 
     def select(self, indices: Sequence[int]) -> "Population":
         """Sub-population of the given user indices (order-preserving)."""
-        return Population(self.users[i] for i in indices)
+        idx = np.asarray(indices, dtype=np.intp)
+        tiers = self.tiers()
+        return Population._from_columns(
+            self.ids[idx], self.rates[idx], self.activities[idx], [tiers[i] for i in idx])
 
     def with_tiers(self, tiers: Sequence[int | None]) -> "Population":
         """Copy of this population with tier indices replaced."""
-        if len(tiers) != len(self.users):
+        if len(tiers) != len(self):
             raise ValidationError("tier list length must match population size")
-        return Population(
-            UserProfile(u.id, u.rate, u.activity, t) for u, t in zip(self.users, tiers)
-        )
-
-
-def _format_value(x: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(x))
+        return Population._from_columns(self.ids, self.rates, self.activities, tiers)
 
 
 def save_population(pop: Population, path) -> None:
@@ -118,9 +163,9 @@ def save_population(pop: Population, path) -> None:
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "rate", "activity", "tier"])
-        for u in pop:
-            tier = "" if u.tier is None else str(u.tier)
-            writer.writerow([u.id, _format_value(u.rate), _format_value(u.activity), tier])
+        # csv writes Python floats with repr (they read back exactly) and None as ""
+        writer.writerows(
+            zip(pop.ids.tolist(), pop.rates.tolist(), pop.activities.tolist(), pop.tiers()))
 
 
 def load_population(path) -> Population:
@@ -128,7 +173,8 @@ def load_population(path) -> Population:
 
     Raises :class:`ParseError` with a 1-based line number on malformed rows.
     """
-    users = []
+    ids, rates, activities, lines = array("q"), array("d"), array("d"), array("q")
+    tiers: list[int | None] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -143,19 +189,17 @@ def load_population(path) -> Population:
             if len(row) != 4:
                 raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
             try:
-                uid = int(row[0])
-                rate = float(row[1])
-                activity = float(row[2])
-                tier = int(row[3]) if row[3].strip() else None
+                ids.append(int(row[0]))
+                rates.append(float(row[1]))
+                activities.append(float(row[2]))
+                tiers.append(int(row[3]) if row[3].strip() else None)
+                lines.append(lineno)
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
-            try:
-                users.append(UserProfile(uid, rate, activity, tier))
-            except ValidationError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-    if not users:
-        raise ParseError("no user rows", line=2)
-    return Population(users)
+            except OverflowError:
+                raise ParseError(f"id {row[0].strip()} does not fit in int64", line=lineno) from None
+    line_of = lines.__getitem__ if lines else lambda row: 2  # no rows: where the first belongs
+    return Population._from_columns(ids, rates, activities, tiers, line_of=line_of)
 
 
 def generate_codec_uniform(
@@ -183,8 +227,7 @@ def generate_codec_uniform(
     chosen_acts = rng.choice(grid, size=n)
     # a stable sort keeps draw order among equal codec rates
     order = np.argsort(chosen_rates, kind="stable")
-    pairs = zip(chosen_rates[order].tolist(), chosen_acts[order].tolist())
-    return Population(UserProfile(i, r, a) for i, (r, a) in enumerate(pairs))
+    return Population._from_columns(np.arange(n), chosen_rates[order], chosen_acts[order])
 
 
 def generate_lognormal(
@@ -197,13 +240,15 @@ def generate_lognormal(
     """Users with lognormal(mu, sigma) rates and a fixed activity ratio."""
     if n <= 0:
         raise ValidationError(f"n must be positive, got {n}")
-    if sigma < 0:
-        raise ValidationError(f"sigma must be >= 0, got {sigma}")
+    if not math.isfinite(mu):
+        raise ValidationError(f"mu must be finite, got {mu}")
+    if not (0 <= sigma < math.inf):
+        raise ValidationError(f"sigma must be >= 0 and finite, got {sigma}")
     if not (0 < activity <= 1):
         raise ValidationError(f"activity must be in (0, 1], got {activity}")
     rng = np.random.default_rng(seed)
     rates = np.sort(rng.lognormal(mean=mu, sigma=sigma, size=n), kind="stable")
-    return Population(UserProfile(i, r, activity) for i, r in enumerate(rates.tolist()))
+    return Population._from_columns(np.arange(n), rates, np.full(n, activity))
 
 
 def assign_tiers_binomial(pop: Population, n_tiers: int = 3, seed: int = DEFAULT_SEED) -> Population:

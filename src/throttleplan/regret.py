@@ -14,11 +14,12 @@ every member of a tier pays, throttled or not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import Mode, Plan, post_throttle_activity
+from .allocation import Mode, Plan
 from .errors import ValidationError
 from .population import Population, UserProfile
 
@@ -41,26 +42,31 @@ class RegretParams:
     def __post_init__(self):
         if self.tau is None:
             object.__setattr__(self, "tau", self.rho)
-        if self.rho < 1:
-            raise ValidationError(f"rho must be >= 1, got {self.rho}")
-        if self.tau < 1:
-            raise ValidationError(f"tau must be >= 1, got {self.tau}")
-        if self.kappa < 0:
-            raise ValidationError(f"kappa must be >= 0, got {self.kappa}")
+        for name in ("rho", "tau"):
+            if not (1 <= getattr(self, name) < math.inf):
+                raise ValidationError(f"{name} must be >= 1 and finite, got {getattr(self, name)}")
+        if not (0 <= self.kappa < math.inf):
+            raise ValidationError(f"kappa must be >= 0 and finite, got {self.kappa}")
+
+
+def _regret(rate: float, activity: float, plan: Plan, params: RegretParams) -> float:
+    """:func:`user_regret` from a user's rate and activity, for loops over columns."""
+    if not plan.throttles:
+        return 0.0
+    d = rate * activity
+    gate = d if plan.mode is Mode.DOWNLOAD else rate
+    if not (d > plan.threshold and gate > plan.rate):
+        return 0.0
+    # post-throttle activity: a throttled download has d > r, so min(d / r, 1) = 1
+    y = 1.0 if plan.mode is Mode.DOWNLOAD else activity
+    rate_term = max(1.0 - plan.rate * y / d, 0.0)
+    time_term = max(1.0 - plan.threshold / d, 0.0)
+    return rate_term**params.rho * time_term**params.tau
 
 
 def user_regret(user: UserProfile, plan: Plan, params: RegretParams) -> float:
     """Regret of a single user under a plan (0 when unthrottled)."""
-    if not plan.throttles:
-        return 0.0
-    d = user.demand
-    gate = d if plan.mode is Mode.DOWNLOAD else user.rate
-    if not (d > plan.threshold and gate > plan.rate):
-        return 0.0
-    y = post_throttle_activity(user, plan.rate, plan.mode)
-    rate_term = max(1.0 - plan.rate * y / d, 0.0)
-    time_term = max(1.0 - plan.threshold / d, 0.0)
-    return rate_term**params.rho * time_term**params.tau
+    return _regret(user.rate, user.activity, plan, params)
 
 
 def aggregate_regret(pop: Population, plan: Plan, params: RegretParams) -> float:
@@ -108,12 +114,15 @@ def tiered_aggregate_regret(
         raise ValidationError("tier_members, tier_plans and prices must align")
     seen: set[int] = set()
     total = 0.0
+    rates, activities = pop.rates.tolist(), pop.activities.tolist()
     for members, plan, price in zip(tier_members, tier_plans, prices):
+        if price < 0:
+            raise ValidationError(f"price must be >= 0, got {price}")
         for i in members:
             if i in seen:
                 raise ValidationError(f"user index {i} assigned to more than one tier")
             seen.add(i)
-            total += tiered_user_regret(pop[i], plan, price, params)
+            total += params.kappa * price + _regret(rates[i], activities[i], plan, params)
     if len(seen) != len(pop):
         missing = sorted(set(range(len(pop))) - seen)
         raise ValidationError(f"user indices {missing} not assigned to any tier")

@@ -10,12 +10,14 @@ larger rate on ties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .allocation import Mode, Plan, threshold_for_rate
+from .download import _check_grid_size
 from .errors import InfeasibleError, ValidationError
 from .population import Population
 from .regret import RegretParams, aggregate_regret
@@ -31,8 +33,9 @@ class CodecSet:
         ordered = tuple(sorted(set(float(r) for r in rates)))
         if not ordered:
             raise ValidationError("codec set must not be empty")
-        if ordered[0] < 0:
-            raise ValidationError(f"codec rates must be >= 0, got {ordered[0]}")
+        bad = [r for r in ordered if not 0 <= r < math.inf]
+        if bad:
+            raise ValidationError(f"codec rates must be >= 0 and finite, got {bad[0]}")
         object.__setattr__(self, "rates", ordered)
 
     def __iter__(self):
@@ -120,13 +123,14 @@ def streaming_curve(
     capacity is selected; thresholds where even the smallest codec overshoots
     are skipped.  Useful for plotting and as a brute-force reference.
     """
-    if step <= 0:
+    if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
     if capacity >= pop.total_demand:
         raise ValidationError("curve is undefined when capacity covers demand")
     from .allocation import _consumption_arrays, max_threshold
 
     bound = max_threshold(pop, capacity, Mode.STREAMING)
+    _check_grid_size(bound.threshold / step)
     grid = np.arange(0.0, bound.threshold, step)
     grid = np.append(grid, bound.threshold)
     d, R, x = pop.demands, pop.rates, pop.activities

@@ -26,10 +26,10 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .allocation import Mode, Plan
-from .download import optimize_demands
+from .download import _check_grid_size, optimize_demands
 from .errors import InfeasibleError, ThrottlePlanError, ValidationError
 from .population import DEFAULT_SEED, Population, assign_tiers_binomial
-from .regret import DEFAULT_RHO, RegretParams, tiered_aggregate_regret, tiered_user_regret, user_regret
+from .regret import DEFAULT_RHO, RegretParams, _regret, tiered_aggregate_regret
 
 ENUMERATION_CAP = 20
 SWEEP_STEP = 0.01
@@ -54,16 +54,16 @@ class TierConfig:
             raise ValidationError("need at least one tier")
         if len(prices) > 10:
             raise ValidationError("at most 10 tiers (single-digit class encoding)")
-        if any(p < 0 for p in prices):
-            raise ValidationError("prices must be >= 0")
+        if not all(0 <= p < math.inf for p in prices):
+            raise ValidationError("prices must be >= 0 and finite")
         if any(b <= a for a, b in zip(prices, prices[1:])):
             raise ValidationError("prices must be strictly ascending")
-        if kappa < 0:
-            raise ValidationError(f"kappa must be >= 0, got {kappa}")
+        if not (0 <= kappa < math.inf):
+            raise ValidationError(f"kappa must be >= 0 and finite, got {kappa}")
         if len(shares) != len(prices):
             raise ValidationError("capacity_shares must match prices in length")
-        if any(c < 0 for c in shares):
-            raise ValidationError("capacity shares must be >= 0")
+        if not all(0 <= c < math.inf for c in shares):
+            raise ValidationError("capacity shares must be >= 0 and finite")
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "kappa", float(kappa))
         object.__setattr__(self, "capacity_shares", shares)
@@ -186,12 +186,14 @@ def _download_plan(demands: np.ndarray, members: tuple[int, ...], share: float, 
 
 
 def _move_regret(
-    pop: Population, plan: PlanFn, target: Sequence[int], user: int,
+    demands: list[float], plan: PlanFn, target: Sequence[int], user: int,
     share: float, price: float, params: RegretParams,
 ) -> tuple[float, Plan]:
-    """(regret, re-planned target) of ``user`` joining tier ``target`` at its share."""
+    """(regret, re-planned target) of ``user`` joining tier ``target`` at its share.
+
+    A download user's regret reads only the demand: it passes as a rate at activity 1."""
     target_plan = plan(tuple(sorted((*target, user))), share)
-    return tiered_user_regret(pop[user], target_plan, price, params), target_plan
+    return params.kappa * price + _regret(demands[user], 1.0, target_plan, params), target_plan
 
 
 def _total_regret(
@@ -225,14 +227,14 @@ def deviation_regret(
         raise ValidationError(f"no such tier {target_tier}")
     plan = partial(_download_plan, pop.demands, rho=params.rho)
     regret, _ = _move_regret(
-        pop, plan, assignment.members()[target_tier], user,
+        pop.demands.tolist(), plan, assignment.members()[target_tier], user,
         config.capacity_shares[target_tier], config.prices[target_tier], params,
     )
     return regret
 
 
 def _improving_moves(
-    pop: Population,
+    demands: list[float],
     config: TierConfig,
     assignment: Assignment,
     params: RegretParams,
@@ -244,13 +246,13 @@ def _improving_moves(
     shares, prices = config.capacity_shares, config.prices
     plans = [plan(m, share) for m, share in zip(members, shares)]
     out: list[tuple[int, int, float]] = []
-    for u in range(len(pop)):
+    for u in range(len(demands)):
         a = assignment.tier_of[u]
-        cur = tiered_user_regret(pop[u], plans[a], prices[a], params)
+        cur = params.kappa * prices[a] + _regret(demands[u], 1.0, plans[a], params)
         for b in range(config.n_tiers):
             if b == a:
                 continue
-            dev, _ = _move_regret(pop, plan, members[b], u, shares[b], prices[b], params)
+            dev, _ = _move_regret(demands, plan, members[b], u, shares[b], prices[b], params)
             if dev < cur:
                 out.append((u, b, cur - dev))
                 if first_only:
@@ -273,7 +275,7 @@ def check_equilibrium(
     if len(assignment.tier_of) != len(pop):
         raise ValidationError("assignment size must match population")
     plan = partial(_download_plan, pop.demands, rho=params.rho)
-    improving = _improving_moves(pop, config, assignment, params, plan)
+    improving = _improving_moves(pop.demands.tolist(), config, assignment, params, plan)
     return (not improving, improving)
 
 
@@ -292,10 +294,11 @@ def _nash_assignments(
 ) -> list[Assignment]:
     """Every Nash assignment of a two-tier game at the config's shares."""
     n = len(pop)
+    demands = pop.demands.tolist()
     found: list[Assignment] = []
     for bits in range(1 << n):
         assignment = Assignment(tuple((bits >> i) & 1 for i in range(n)), 2)
-        if not _improving_moves(pop, config, assignment, params, plan, first_only=True):
+        if not _improving_moves(demands, config, assignment, params, plan, first_only=True):
             found.append(assignment)
     return found
 
@@ -339,6 +342,7 @@ def sweep_splits(
     """
     if not (0.0 < step < 1.0):
         raise ValidationError(f"step must be in (0, 1), got {step}")
+    _check_grid_size(1.0 / step)
     _check_two_tier(pop, config)
     params = _game_params(config, params)
     n_steps = int(math.floor(1.0 / step + 1e-9))
@@ -546,8 +550,7 @@ def stackelberg_iterate(
     n = len(pop)
     k = len(prices)
     if k == 3:
-        seeded = assign_tiers_binomial(pop, 3, seed)
-        tier_of = tuple(u.tier for u in seeded)
+        tier_of = tuple(assign_tiers_binomial(pop, 3, seed).tiers())
     else:
         # deterministic rate-order chunks when the coin scheme does not apply
         base, rem = divmod(n, k)
@@ -562,6 +565,7 @@ def stackelberg_iterate(
 
     # no memo: fewer than 3% of the (members, share) keys repeat here
     plan = partial(_download_plan, pop.demands, rho=params.rho)
+    demands = pop.demands.tolist()
     seen = {assignment.tier_of}
     prev_ts: np.ndarray | None = None
     converged = False
@@ -585,7 +589,7 @@ def stackelberg_iterate(
         cur_plans = list(plans)
         for u in range(n):
             a = assignment.tier_of[u]
-            throttle = user_regret(pop[u], cur_plans[a], params)
+            throttle = _regret(demands[u], 1.0, cur_plans[a], params)
             if a == 0 and throttle == 0.0:
                 continue  # cheapest tier, unthrottled: nothing can beat it
             cur = params.kappa * prices[a] + throttle
@@ -593,7 +597,8 @@ def stackelberg_iterate(
             for b in range(k):
                 if b == a:
                     continue
-                dev, plan_b = _move_regret(pop, plan, member_lists[b], u, shares[b], prices[b], params)
+                dev, plan_b = _move_regret(
+                    demands, plan, member_lists[b], u, shares[b], prices[b], params)
                 if dev < best_dev:
                     best_dev, best_b, best_plan = dev, b, plan_b
             if best_b is not None:

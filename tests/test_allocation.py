@@ -189,3 +189,10 @@ def test_threshold_for_rate_decreasing_in_rate(stream3):
     ts = [threshold_for_rate(stream3, 0.9, r, Mode.STREAMING) for r in rates]
     assert all(t is not None for t in ts)
     assert all(a >= b - 1e-12 for a, b in zip(ts, ts[1:]))
+
+
+def test_plan_rejects_nan_fields():
+    with pytest.raises(ValidationError, match="threshold must be >= 0, got nan"):
+        Plan(math.nan, 0.1, Mode.DOWNLOAD)
+    with pytest.raises(ValidationError, match="rate must be >= 0, got nan"):
+        Plan(0.3, math.nan, Mode.STREAMING)

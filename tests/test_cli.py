@@ -290,3 +290,61 @@ def test_internal_errors_exit_1(tmp_path):
     code, _, err = run(["optimize", "--pop", tmp_path, "--capacity", 1.8])
     assert code == 1
     assert "Traceback" in err
+
+
+def _csv_with_rate(tmp_path, rate):
+    path = tmp_path / "pop.csv"
+    path.write_text(f"id,rate,activity,tier\n0,0.5,1.0,\n1,{rate},1.0,\n")
+    return path
+
+
+# one command per non-finite input: (argv builder, expected error line)
+NON_FINITE_INPUTS = {
+    "simulate-plan-nan": (
+        lambda pop, tmp: ["simulate", "--pop", pop, "--capacity", 1.8, "--plan", "nan,0.1",
+                          "--out-prefix", tmp / "x"],
+        "error: threshold must be >= 0, got nan",
+    ),
+    "optimize-rho-nan": (
+        lambda pop, tmp: ["optimize", "--pop", pop, "--capacity", 1.8, "--rho", "nan"],
+        "error: rho must be >= 1 and finite, got nan",
+    ),
+    "generate-mu-nan": (
+        lambda pop, tmp: ["generate", "--dist", "lognormal:mu=nan,sigma=0.5", "--n", 3,
+                          "-o", tmp / "g.csv"],
+        "error: mu must be finite, got nan",
+    ),
+    "generate-sigma-nan": (
+        lambda pop, tmp: ["generate", "--dist", "lognormal:mu=0,sigma=nan", "--n", 3,
+                          "-o", tmp / "g.csv"],
+        "error: sigma must be >= 0 and finite, got nan",
+    ),
+    "csv-rate-nan": (
+        lambda pop, tmp: ["optimize", "--pop", _csv_with_rate(tmp, "nan"), "--capacity", 0.5],
+        "error: line 3: user 1: rate must be positive and finite, got nan",
+    ),
+    "csv-rate-inf": (
+        lambda pop, tmp: ["optimize", "--pop", _csv_with_rate(tmp, "inf"), "--capacity", 0.5],
+        "error: line 3: user 1: rate must be positive and finite, got inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+def test_non_finite_input_exits_2(pop4, tmp_path, case):
+    argv, expected = NON_FINITE_INPUTS[case]
+    code, out, err = run(argv(write_pop(pop4, tmp_path, "pop4.csv"), tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [expected]
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_curve_step_over_the_grid_cap_exits_2(pop4, tmp_path):
+    path = write_pop(pop4, tmp_path)
+    code, _, err = run(["optimize", "--pop", path, "--capacity", 1.8,
+                        "--curve", tmp_path / "c.csv", "--curve-step", "1e-12"])
+    assert code == 2
+    assert err.splitlines() == [
+        "error: a grid of 5.5e+11 points exceeds the cap of 1000000; use a coarser step"
+    ]

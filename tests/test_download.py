@@ -17,7 +17,7 @@ from throttleplan import (
     optimize_download,
     threshold_curve,
 )
-from throttleplan.download import optimize_demands
+from throttleplan.download import MAX_GRID_POINTS, optimize_demands
 
 P2 = RegretParams()
 
@@ -192,3 +192,14 @@ def test_optimizer_beats_grid_oracle_on_random_instances():
         oracle = grid_oracle(pop, capacity, P2, step=1e-3 * capacity)
         assert sol.regret <= oracle.regret + 1e-12
         assert consumption(pop, sol.plan) == pytest.approx(capacity, abs=1e-9 * capacity)
+
+
+def test_threshold_curve_caps_the_grid(pop4):
+    # never run uncapped: a 1e-12 step would ask for a grid of 5.5e11 points
+    with pytest.raises(ValidationError, match="exceeds the cap of 1000000"):
+        threshold_curve(pop4, 1.8, P2, step=1e-12)
+    with pytest.raises(ValidationError, match="exceeds the cap of 1000000"):
+        grid_oracle(pop4, 1.8, P2, step=1e-12)
+    with pytest.raises(ValidationError, match="step must be positive"):
+        threshold_curve(pop4, 1.8, P2, step=math.nan)
+    assert len(threshold_curve(pop4, 1.8, P2, step=0.55 / MAX_GRID_POINTS)) == MAX_GRID_POINTS + 1

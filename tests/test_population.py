@@ -148,3 +148,79 @@ def test_assign_tiers_binomial_rejects_other_counts():
     pop = generate_lognormal(10, 0.0, 0.5, seed=1)
     with pytest.raises(ValidationError):
         assign_tiers_binomial(pop, n_tiers=2, seed=1)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite_rate(rate):
+    with pytest.raises(ValidationError, match="rate must be positive and finite"):
+        UserProfile(0, rate, 0.5)
+
+
+def test_population_columns_are_read_only_and_views_are_python_values():
+    pop = Population([UserProfile(5, 0.5, 0.25, tier=1), UserProfile(4, 0.25, 1.0)])
+    assert list(pop.ids) == [4, 5]
+    assert list(pop.demands) == [0.25, 0.125]
+    with pytest.raises(ValueError):
+        pop.rates[0] = 1.0
+    user = pop[1]
+    assert user == UserProfile(5, 0.5, 0.25, tier=1)
+    assert type(user.id) is int and type(user.rate) is float and type(user.tier) is int
+    assert repr(user.rate) == "0.5"
+    assert list(pop) == [pop[0], pop[1]]
+
+
+def test_population_equality_compares_every_column():
+    a = Population([UserProfile(0, 0.5, 1.0), UserProfile(1, 0.7, 1.0)])
+    assert a == Population([UserProfile(1, 0.7, 1.0), UserProfile(0, 0.5, 1.0)])
+    assert a != Population([UserProfile(0, 0.5, 1.0), UserProfile(2, 0.7, 1.0)])
+    assert a != a.with_tiers([0, None])
+    assert a != Population([UserProfile(0, 0.5, 1.0), UserProfile(1, 0.7, 0.5)])
+
+
+def test_with_tiers_rejects_negative_tier():
+    pop = Population([UserProfile(0, 0.5, 1.0), UserProfile(1, 0.7, 1.0)])
+    with pytest.raises(ValidationError, match="user 1: tier must be >= 0, got -1"):
+        pop.with_tiers([0, -1])
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,nan,0.5,", "user 1: rate must be positive and finite, got nan"),
+        ("1,inf,0.5,", "user 1: rate must be positive and finite, got inf"),
+        ("1,0,0.5,", "user 1: rate must be positive and finite, got 0.0"),
+        ("1,1.0,1.5,", "user 1: activity must be in (0, 1], got 1.5"),
+        ("1,1.0,nan,", "user 1: activity must be in (0, 1], got nan"),
+        ("1,1.0,0.5,-1", "user 1: tier must be >= 0, got -1"),
+        ("0,1.0,0.5,", "duplicate user id 0"),
+        ("9223372036854775808,1.0,0.5,", "id 9223372036854775808 does not fit in int64"),
+        ("1,1.0,0.5,9223372036854775808", "tier 9223372036854775808 does not fit in int64"),
+    ],
+)
+def test_load_reports_bad_value_with_line_number(tmp_path, row, message):
+    # a blank line before the bad row moves it from line 3 to line 4
+    path = tmp_path / "pop.csv"
+    path.write_text(f"id,rate,activity,tier\n0,2.0,0.5,\n\n{row}\n2,3.0,0.5,\n")
+    with pytest.raises(ParseError) as exc:
+        load_population(path)
+    assert str(exc.value) == f"line 4: {message}"
+    assert exc.value.line == 4
+
+
+def test_load_rejects_file_without_rows(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text("id,rate,activity,tier\n")
+    with pytest.raises(ParseError, match="line 2: population must contain at least one user"):
+        load_population(path)
+
+
+@pytest.mark.parametrize("mu, sigma", [(math.nan, 0.5), (math.inf, 0.5), (0.0, math.nan),
+                                       (0.0, math.inf)])
+def test_generate_lognormal_rejects_non_finite_parameters(mu, sigma):
+    with pytest.raises(ValidationError, match="mu must be finite" if sigma == 0.5 else "sigma"):
+        generate_lognormal(3, mu, sigma)
+
+
+def test_generated_rates_that_overflow_are_rejected():
+    with pytest.raises(ValidationError, match="rate must be positive and finite, got inf"):
+        generate_lognormal(3, 1000.0, 0.5)

@@ -126,3 +126,10 @@ def test_tiered_aggregate_regret_validates_partition(pop4):
         tiered_aggregate_regret(pop4, [(0, 1), (3,)], plans, prices, P2)
     with pytest.raises(ValidationError):
         tiered_aggregate_regret(pop4, [(0, 1, 2, 3)], plans, prices, P2)
+
+
+@pytest.mark.parametrize("field", ["rho", "tau", "kappa"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be >= [01] and finite"):
+        RegretParams(**{field: value})

@@ -109,3 +109,17 @@ def test_streaming_curve_validation(stream3):
         streaming_curve(stream3, 0.9, LADDER, P2, step=0.0)
     with pytest.raises(ValidationError):
         streaming_curve(stream3, 2.0, LADDER, P2, step=0.01)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_codec_set_rejects_non_finite_rates(bad):
+    with pytest.raises(ValidationError, match="codec rates must be >= 0 and finite"):
+        CodecSet([0.2, bad])
+
+
+def test_streaming_curve_caps_the_grid(stream3):
+    # never run uncapped: a 1e-12 step would ask for a grid of ~1e12 points
+    with pytest.raises(ValidationError, match="exceeds the cap of 1000000"):
+        streaming_curve(stream3, 0.9, LADDER, P2, step=1e-12)
+    with pytest.raises(ValidationError, match="step must be positive"):
+        streaming_curve(stream3, 0.9, LADDER, P2, step=math.nan)

@@ -270,3 +270,18 @@ def test_stackelberg_validation():
         stackelberg_iterate(pop, (1.0, 0.5), 1.0, 0.05)
     with pytest.raises(ValidationError):
         stackelberg_iterate(pop, (0.5, 1.0), 1.0, 0.05, max_iters=-1)
+
+
+def test_config_rejects_non_finite_values():
+    with pytest.raises(ValidationError, match="prices must be >= 0 and finite"):
+        TierConfig((0.5, math.nan), 0.01, (0.5, 0.5))
+    with pytest.raises(ValidationError, match="kappa must be >= 0 and finite"):
+        TierConfig((0.5, 1.0), math.nan, (0.5, 0.5))
+    with pytest.raises(ValidationError, match="capacity shares must be >= 0 and finite"):
+        TierConfig((0.5, 1.0), 0.01, (math.inf, 0.5))
+
+
+def test_sweep_caps_the_split_grid(pop4, config):
+    # never run uncapped: a 1e-9 step would ask for 1e9 splits
+    with pytest.raises(ValidationError, match="exceeds the cap of 1000000"):
+        sweep_splits(pop4, config, step=1e-9)
