@@ -14,7 +14,9 @@ throttled depends on the access mode:
   rate is below r never notices the throttle.
 
 The total consumption is continuous and strictly increasing in both T and r
-wherever somebody is throttled, which is what the solvers below rely on.
+wherever somebody is throttled, and piecewise linear in each: in T it bends
+at the sorted demands, in r at the sorted gates.  The solvers below find
+the segment where it meets capacity exactly, with no iteration.
 """
 
 from __future__ import annotations
@@ -165,23 +167,42 @@ def allocation(user: UserProfile, plan: Plan) -> float:
     return d
 
 
-def _max_threshold_sorted(ds: np.ndarray, prefix: np.ndarray, capacity: float) -> tuple[float, int]:
-    """Shrinking fixed point for the zero-rate threshold on sorted demands.
+def _check_capacity(capacity: float) -> None:
+    if not 0 <= capacity < math.inf:
+        raise ValidationError(f"capacity must be >= 0 and finite, got {capacity}")
 
-    Returns (t_hat, k) where ds[k:] is the surviving throttled set.  Starts
-    from everyone throttled and evicts users whose demand drops below the
-    candidate threshold; t_hat only grows, so this terminates in <= n steps.
+
+def _suffix_sums(v: np.ndarray) -> np.ndarray:
+    return np.cumsum(v[::-1])[::-1]
+
+
+def _tight_segment(breaks: np.ndarray, a: np.ndarray, b: np.ndarray, capacity: float) -> int:
+    """Segment on which a piecewise-linear consumption curve meets capacity.
+
+    ``breaks`` are sorted and positive; segment k is [breaks[k-1], breaks[k])
+    (from 0 for k = 0), where consumption is a[k] + b[k] * u.  Every
+    segment's root is solved at once.  Consumption rises with u, so the
+    roots of earlier segments lie at or past their right ends: the answer is
+    the first segment whose root does not, or the last non-empty one if
+    rounding leaves none.  Empty segments (tied breaks) are never returned:
+    an empty top segment would leave nobody throttled, and the entries from
+    the returned k on share no value with those before it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # b == 0 only after rounding
+        roots = (capacity - a) / b
+    nonempty = breaks > np.concatenate(([0.0], breaks[:-1]))
+    hits = np.flatnonzero(nonempty & (roots < breaks))
+    return int(hits[0]) if hits.size else int(np.flatnonzero(nonempty)[-1])
+
+
+def _zero_rate_bound(ds: np.ndarray, prefix: np.ndarray, capacity: float) -> float:
+    """Threshold meeting capacity at rate 0 over sorted demands ds.
+
+    ``prefix`` holds the n + 1 running sums of ds; capacity must be below ds.sum().
     """
     n = ds.size
-    k = 0
-    while True:
-        t = (capacity - prefix[k]) / (n - k)
-        k2 = int(np.searchsorted(ds, t, side="right"))
-        if k2 == k:
-            return float(t), k
-        if k2 >= n:
-            raise AssertionError("threshold bound exceeded all demands with capacity < demand")
-        k = k2
+    k = _tight_segment(ds, prefix[:-1], np.arange(n, 0, -1), capacity)
+    return float((capacity - prefix[k]) / (n - k))
 
 
 def max_threshold(pop: Population, capacity: float, mode: Mode = Mode.DOWNLOAD) -> ThresholdBound:
@@ -191,92 +212,56 @@ def max_threshold(pop: Population, capacity: float, mode: Mode = Mode.DOWNLOAD) 
     it independent of the access mode.  With capacity at or above total
     demand there is no bound; the sentinel (inf, empty set) is returned.
     """
-    if capacity < 0:
-        raise ValidationError(f"capacity must be >= 0, got {capacity}")
+    _check_capacity(capacity)
     demands = pop.demands
     if capacity >= demands.sum():
         return ThresholdBound(math.inf, frozenset())
     order = np.argsort(demands, kind="stable")
     ds = demands[order]
     prefix = np.concatenate(([0.0], np.cumsum(ds)))
-    t_hat, k = _max_threshold_sorted(ds, prefix, capacity)
-    return ThresholdBound(t_hat, frozenset(int(i) for i in order[k:]))
-
-
-_BISECT_MAX_ITERS = 200
-
-
-def _polish_threshold(
-    pop: Population, capacity: float, rate: float, mode: Mode, t_mid: float
-) -> float | None:
-    """Closed-form T for the throttled set active at t_mid, if consistent."""
-    d = pop.demands
-    hot = _throttled_mask(pop, t_mid, rate, mode)
-    if not hot.any():
-        return None
-    d_hot = d[hot]
-    y = np.ones(d_hot.size) if mode is Mode.DOWNLOAD else pop.activities[hot]
-    denom = float(np.sum(1.0 - rate * y / d_hot))
-    if denom <= 0:
-        return None
-    t = (capacity - float(d[~hot].sum()) - rate * float(y.sum())) / denom
-    if t < 0:
-        return None
-    # accept only if the throttled set at t matches the one we solved with
-    hot2 = _throttled_mask(pop, t, rate, mode)
-    if not np.array_equal(hot, hot2):
-        return None
-    return float(t)
+    t_hat = _zero_rate_bound(ds, prefix, capacity)
+    above = int(np.searchsorted(ds, t_hat, side="right"))
+    return ThresholdBound(t_hat, frozenset(int(i) for i in order[above:]))
 
 
 def threshold_for_rate(
-    pop: Population,
-    capacity: float,
-    rate: float,
-    mode: Mode = Mode.DOWNLOAD,
-    epsilon: float | None = None,
+    pop: Population, capacity: float, rate: float, mode: Mode = Mode.DOWNLOAD
 ) -> float | None:
     """Threshold that makes consumption meet capacity exactly at this rate.
 
     Returns inf when capacity covers total demand (no throttling needed) and
-    None when no T >= 0 can bring consumption down to capacity (the rate is
-    too generous).  Otherwise bisects on the monotone consumption curve and
-    polishes with the closed form for the final throttled set, so the
-    capacity residual is usually at machine precision and always within
-    epsilon * capacity (default epsilon 1e-9 / max(1, C)-scaled).
+    None when even T = 0 leaves consumption above capacity by more than
+    1e-9 * max(1, C) (the rate is too generous).  Otherwise the throttled
+    set is found exactly on the sorted demands of the users the rate can
+    throttle, and T comes from the closed form for that set.
     """
-    if capacity < 0:
-        raise ValidationError(f"capacity must be >= 0, got {capacity}")
-    if rate < 0:
+    _check_capacity(capacity)
+    if not rate >= 0:
         raise ValidationError(f"rate must be >= 0, got {rate}")
-    total = pop.total_demand
-    if capacity >= total:
+    if capacity >= pop.total_demand:
         return math.inf
-    if epsilon is None:
-        eps = 1e-9 * max(1.0, capacity)
-    elif epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    else:
-        eps = epsilon * max(capacity, 1e-300)
     d, R, x = pop.demands, pop.rates, pop.activities
-    floor = _consumption_arrays(d, R, x, 0.0, rate, mode)
-    if floor > capacity + eps:
+    if _consumption_arrays(d, R, x, 0.0, rate, mode) > capacity + 1e-9 * max(1.0, capacity):
         return None
-    bound = max_threshold(pop, capacity, mode)
-    lo, hi = 0.0, bound.threshold
-    for _ in range(_BISECT_MAX_ITERS):
-        mid = 0.5 * (lo + hi)
-        if _consumption_arrays(d, R, x, mid, rate, mode) < capacity:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, bound.threshold):
-            break
-    mid = 0.5 * (lo + hi)
-    polished = _polish_threshold(pop, capacity, rate, mode, mid)
-    if polished is not None and polished <= bound.threshold + eps:
-        return min(polished, bound.threshold)
-    return mid
+    gate = d if mode is Mode.DOWNLOAD else R
+    idx = np.flatnonzero(gate > rate)
+    if idx.size == 0:
+        return 0.0  # nobody can be throttled; consumption is within tolerance anyway
+    idx = idx[np.argsort(d[idx], kind="stable")]
+    ds = d[idx]
+    ry = rate * (1.0 if mode is Mode.DOWNLOAD else x[idx])
+    # with users idx[k:] throttled, consumption is a[k] + b[k] * T
+    k = _tight_segment(
+        ds, pop.total_demand - _suffix_sums(ds - ry), _suffix_sums(1.0 - ry / ds), capacity
+    )
+    hot = _throttled_mask(pop, float(ds[k - 1]) if k else 0.0, rate, mode)
+    d_hot = d[hot]
+    y = np.ones(d_hot.size) if mode is Mode.DOWNLOAD else x[hot]
+    denom = float(np.sum(1.0 - rate * y / d_hot))
+    if denom <= 0:
+        return 0.0  # rounding flattened the segment: T no longer moves consumption
+    t = (capacity - float(d[~hot].sum()) - rate * float(y.sum())) / denom
+    return max(t, 0.0)
 
 
 def rate_for_threshold(
@@ -286,36 +271,37 @@ def rate_for_threshold(
 
     The inverse of :func:`threshold_for_rate`: returns inf when capacity
     covers total demand, None when even rate 0 leaves consumption above
-    capacity (threshold too generous).  Solved by a shrinking fixed point:
-    each candidate rate can only evict users from the throttled set, and
-    eviction only raises the next candidate.
+    capacity (threshold too generous).  The throttled set is found exactly
+    on the sorted gates (download: demands, streaming: rates) of the users
+    above the threshold, and r comes from the closed form for that set.
     """
-    if capacity < 0:
-        raise ValidationError(f"capacity must be >= 0, got {capacity}")
-    if threshold < 0:
+    _check_capacity(capacity)
+    if not threshold >= 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
-    total = pop.total_demand
-    if capacity >= total:
+    if capacity >= pop.total_demand:
         return math.inf
     d, R, x = pop.demands, pop.rates, pop.activities
-    eps = 1e-9 * max(1.0, capacity)
-    if _consumption_arrays(d, R, x, threshold, 0.0, mode) > capacity + eps:
+    if _consumption_arrays(d, R, x, threshold, 0.0, mode) > capacity + 1e-9 * max(1.0, capacity):
         return None
-    rate = 0.0
-    for _ in range(len(pop) + 1):
-        hot = _throttled_mask(pop, threshold, rate, mode)
-        if not hot.any():
-            # everyone already fits at this threshold with the current rate
-            return rate
-        d_hot = d[hot]
-        y = np.ones(d_hot.size) if mode is Mode.DOWNLOAD else x[hot]
-        spare = capacity - float(d[~hot].sum()) - threshold * d_hot.size
-        denom = float(np.sum(y * (1.0 - threshold / d_hot)))
-        if denom <= 0:
-            return rate
-        new_rate = max(spare / denom, 0.0)
-        hot2 = _throttled_mask(pop, threshold, new_rate, mode)
-        if np.array_equal(hot, hot2):
-            return float(new_rate)
-        rate = float(new_rate)
-    raise AssertionError("rate fixed point failed to settle")
+    gate = d if mode is Mode.DOWNLOAD else R
+    idx = np.flatnonzero(d > threshold)
+    if idx.size == 0:
+        return 0.0  # everyone already fits at this threshold
+    idx = idx[np.argsort(gate[idx], kind="stable")]
+    ds = d[idx]
+    y = 1.0 if mode is Mode.DOWNLOAD else x[idx]
+    # with users idx[k:] throttled, consumption is a[k] + b[k] * r
+    k = _tight_segment(
+        gate[idx],
+        pop.total_demand - _suffix_sums(ds - threshold),
+        _suffix_sums(y * (1.0 - threshold / ds)),
+        capacity,
+    )
+    hot = _throttled_mask(pop, threshold, float(gate[idx[k - 1]]) if k else 0.0, mode)
+    d_hot = d[hot]
+    y_hot = np.ones(d_hot.size) if mode is Mode.DOWNLOAD else x[hot]
+    spare = capacity - float(d[~hot].sum()) - threshold * d_hot.size
+    denom = float(np.sum(y_hot * (1.0 - threshold / d_hot)))
+    if denom <= 0:
+        return 0.0  # rounding flattened the segment: r no longer moves consumption
+    return max(spare / denom, 0.0)

@@ -296,10 +296,16 @@ def cmd_simulate(args) -> int:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["hour", "user", "state"])
             st = throttled.per_user_state
-            ids = pop.ids.tolist()
+            # "user,state" row tails for every (state, user): an hour's rows are one gather
+            tails = np.array(
+                [[f"{i},{s.name.lower()}\n" for i in pop.ids.tolist()]
+                 for s in sorted(UserState)],
+                dtype=object,
+            )
+            users = np.arange(len(pop))
             for h in range(st.shape[1]):
-                for u in range(st.shape[0]):
-                    w.writerow([h, ids[u], UserState(st[u, h]).name.lower()])
+                head = f"{h},"
+                fh.write(head + head.join(tails[st[:, h], users]))
     zero_hours = int(np.sum(unthrottled.hourly_total == 0))
     ratio = variability_ratio(throttled, unthrottled)
     if plan.throttles:

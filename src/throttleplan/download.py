@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import Mode, Plan, _max_threshold_sorted
+from .allocation import Mode, Plan, _check_capacity, _zero_rate_bound
 from .errors import ValidationError
 from .population import Population
 from .regret import RegretParams
@@ -95,7 +95,7 @@ class _Ladder:
         self.prefix = np.concatenate(([0.0], np.cumsum(self.ds)))
         inv = 1.0 / self.ds
         self.suf_inv = np.concatenate((np.cumsum(inv[::-1])[::-1], [0.0]))
-        self.t_hat, self.k_hat = _max_threshold_sorted(self.ds, self.prefix, capacity)
+        self.t_hat = _zero_rate_bound(self.ds, self.prefix, capacity)
 
     def fixed_point_vec(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized fixed point: (k, capacity-tight r) for many thresholds."""
@@ -180,8 +180,7 @@ def kick_points(pop: Population, capacity: float) -> list[KickEvent]:
     Requires capacity below total demand.  Users are reported by their
     population index; events are sorted by threshold, kick-ins first on ties.
     """
-    if capacity < 0:
-        raise ValidationError(f"capacity must be >= 0, got {capacity}")
+    _check_capacity(capacity)
     if capacity >= pop.total_demand:
         raise ValidationError("kick points are undefined when capacity covers demand")
     lad = _Ladder(pop.demands, capacity)
@@ -267,8 +266,7 @@ def optimize_download(
     single-user plateaus, has rate equal to threshold.
     """
     _check_params(params)
-    if capacity < 0:
-        raise ValidationError(f"capacity must be >= 0, got {capacity}")
+    _check_capacity(capacity)
     if capacity >= pop.total_demand:
         return DownloadSolution(Plan.no_throttling(Mode.DOWNLOAD), 0.0, ())
     lad = _Ladder(pop.demands, capacity)
@@ -300,6 +298,7 @@ def threshold_curve(
     aggregate at (T, r).
     """
     _check_params(params)
+    _check_capacity(capacity)
     if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
     if capacity >= pop.total_demand:
@@ -317,6 +316,7 @@ def grid_oracle(
     pop: Population, capacity: float, params: RegretParams, step: float
 ) -> DownloadSolution:
     """Brute-force reference optimizer: best point on a dense threshold grid."""
+    _check_capacity(capacity)
     if capacity >= pop.total_demand:
         return DownloadSolution(Plan.no_throttling(Mode.DOWNLOAD), 0.0, ())
     curve = threshold_curve(pop, capacity, params, step)

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .allocation import Mode, Plan, threshold_for_rate
+from .allocation import Mode, Plan, _check_capacity, threshold_for_rate
 from .download import _check_grid_size
 from .errors import InfeasibleError, ValidationError
 from .population import Population
@@ -68,16 +68,13 @@ class StreamSolution:
     candidates: tuple[CodecCandidate, ...]
 
 
-def solve_threshold(
-    pop: Population, capacity: float, rate: float, epsilon: float | None = None
-) -> float | None:
+def solve_threshold(pop: Population, capacity: float, rate: float) -> float | None:
     """Capacity-tight streaming threshold for a fixed post-throttle rate.
 
     None when the rate is too generous for the capacity, inf when capacity
-    covers total demand.  epsilon bounds the relative capacity residual of
-    the returned threshold (default 1e-9 scaled by max(1, C)).
+    covers total demand.
     """
-    return threshold_for_rate(pop, capacity, rate, Mode.STREAMING, epsilon)
+    return threshold_for_rate(pop, capacity, rate, Mode.STREAMING)
 
 
 def optimize_streaming(
@@ -88,8 +85,7 @@ def optimize_streaming(
     Raises :class:`InfeasibleError` when no codec admits a feasible
     threshold; ties in regret go to the larger rate (gentler throttle).
     """
-    if capacity < 0:
-        raise ValidationError(f"capacity must be >= 0, got {capacity}")
+    _check_capacity(capacity)
     if capacity >= pop.total_demand:
         return StreamSolution(Plan.no_throttling(Mode.STREAMING), 0.0, ())
     candidates = []
@@ -123,6 +119,7 @@ def streaming_curve(
     capacity is selected; thresholds where even the smallest codec overshoots
     are skipped.  Useful for plotting and as a brute-force reference.
     """
+    _check_capacity(capacity)
     if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
     if capacity >= pop.total_demand:

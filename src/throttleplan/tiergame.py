@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .allocation import Mode, Plan
+from .allocation import Mode, Plan, _check_capacity
 from .download import _check_grid_size, optimize_demands
 from .errors import InfeasibleError, ThrottlePlanError, ValidationError
 from .population import DEFAULT_SEED, Population, assign_tiers_binomial
@@ -140,33 +140,21 @@ def optimize_tier(
     members: Sequence[int],
     share: float,
     params: RegretParams,
-    mode: Mode = Mode.DOWNLOAD,
-    codecs=None,
 ) -> Plan:
-    """Best plan for one tier's members under its capacity share.
+    """Best download plan for one tier's members under its capacity share.
 
     Empty tiers get the zero plan.  A share covering the members' demand
     returns the no-throttling convention T = r = share, so reported tier
-    plans stay finite.  Streaming tiers need a codec set.
+    plans stay finite.
     """
-    if share < 0:
-        raise ValidationError(f"share must be >= 0, got {share}")
+    if not 0 <= share < math.inf:
+        raise ValidationError(f"share must be >= 0 and finite, got {share}")
     members = tuple(sorted(int(i) for i in members))
     if len(set(members)) != len(members):
         raise ValidationError("duplicate member indices")
     if members and not (0 <= members[0] and members[-1] < len(pop)):
         raise ValidationError("member index out of range")
-    if mode is Mode.DOWNLOAD:
-        return _download_plan(pop.demands, members, share, params.rho)
-    if not members:
-        return Plan(0.0, 0.0, mode)
-    if share >= float(pop.demands[list(members)].sum()):
-        return Plan(share, share, mode)
-    from .streaming import optimize_streaming
-
-    if codecs is None:
-        raise ValidationError("streaming tiers require a codec set")
-    return optimize_streaming(pop.select(members), share, codecs, params).plan
+    return _download_plan(pop.demands, members, share, params.rho)
 
 
 def _download_plan(demands: np.ndarray, members: tuple[int, ...], share: float, rho: float) -> Plan:
@@ -392,19 +380,17 @@ def solve_multi_tier(
     assignment: Assignment,
     capacity: float,
     params: RegretParams,
-    bounds: tuple[float, float] | None = None,
 ) -> list[float]:
     """Joint per-tier thresholds minimizing total regret at fixed membership.
 
     Rates are pinned to thresholds (r_j = T_j), so the operator chooses one
     T_j per tier subject to total consumption equaling capacity.  Each T_j
-    is box-bounded (default: min and max demand over the whole population)
-    and solved with SLSQP from a feasible start; the equality residual is
-    then repaired to <= 1e-6 * C.  There is no fallback solver: raises
-    ThrottlePlanError carrying SLSQP's message when SLSQP reports failure,
-    and ThrottlePlanError when the repaired residual still exceeds the
-    tolerance.  Tiers that end up unthrottled report their largest member
-    demand; empty tiers report 0.
+    is box-bounded by the min and max demand over the whole population
+    and solved with SLSQP from a feasible start.  There is no fallback
+    solver and no repair step: raises ThrottlePlanError carrying SLSQP's
+    message when SLSQP reports failure, and ThrottlePlanError when the
+    capacity residual exceeds 1e-6 * max(1, C).  Tiers that end up
+    unthrottled report their largest member demand; empty tiers report 0.
     """
     if params.tau != params.rho:
         raise ValidationError("multi-tier optimization requires rho == tau")
@@ -412,8 +398,7 @@ def solve_multi_tier(
         raise ValidationError("multi-tier optimization requires rho >= 2")
     if len(assignment.tier_of) != len(pop):
         raise ValidationError("assignment size must match population")
-    if capacity < 0:
-        raise ValidationError(f"capacity must be >= 0, got {capacity}")
+    _check_capacity(capacity)
     members = assignment.members()
     tier_demands = [pop.demands[list(m)] for m in members]
     active = [j for j, d in enumerate(tier_demands) if d.size > 0]
@@ -434,12 +419,7 @@ def solve_multi_tier(
         out[j] = clamp(j, t)
         return out
 
-    lo, hi = bounds if bounds is not None else (
-        float(pop.demands.min()),
-        float(pop.demands.max()),
-    )
-    if not (0 <= lo <= hi):
-        raise ValidationError(f"bad bounds ({lo}, {hi})")
+    lo, hi = float(pop.demands.min()), float(pop.demands.max())
     ds = [tier_demands[j] for j in active]
     m = len(active)
 
@@ -480,7 +460,7 @@ def solve_multi_tier(
     )
     if not res.success:
         raise ThrottlePlanError(f"SLSQP failed on the joint threshold problem: {res.message}")
-    ts = _repair_equality(ds, capacity, np.clip(res.x, lo, hi), lo, hi)
+    ts = np.clip(res.x, lo, hi)
     if abs(residual(ts)) > tol:
         raise ThrottlePlanError(
             f"capacity residual {abs(residual(ts)):.3g} exceeds tolerance {tol:.3g}"
@@ -488,34 +468,6 @@ def solve_multi_tier(
     for j, t in zip(active, ts):
         out[j] = clamp(j, float(t))
     return out
-
-
-def _repair_equality(
-    ds: list[np.ndarray], capacity: float, ts: np.ndarray, lo: float, hi: float
-) -> np.ndarray:
-    """Nudge one coordinate so total consumption meets capacity exactly."""
-    ts = np.asarray(ts, dtype=float).copy()
-    gap = capacity - sum(_tier_consumption(d, t) for d, t in zip(ds, ts))
-    if abs(gap) <= 1e-12 * max(capacity, 1.0):
-        return ts
-    for j in np.argsort([-d.sum() for d in ds]):
-        others = sum(_tier_consumption(d, t) for i, (d, t) in enumerate(zip(ds, ts)) if i != j)
-        want = capacity - others
-
-        def f(t: float) -> float:
-            return _tier_consumption(ds[j], t) - want
-
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo == 0.0:
-            ts[j] = lo
-            return ts
-        if f_hi == 0.0:
-            ts[j] = hi
-            return ts
-        if f_lo < 0.0 < f_hi:
-            ts[j] = float(brentq(f, lo, hi, xtol=1e-14))
-            return ts
-    return ts
 
 
 def stackelberg_iterate(

@@ -1,19 +1,31 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from throttleplan import (
+    Assignment,
+    CodecSet,
     Mode,
     Plan,
+    Population,
+    RegretParams,
     UserProfile,
     ValidationError,
     allocation,
     consumption,
+    grid_oracle,
+    kick_points,
     max_threshold,
+    optimize_download,
+    optimize_streaming,
     partition,
     post_throttle_activity,
     rate_for_threshold,
+    solve_multi_tier,
+    streaming_curve,
+    threshold_curve,
     threshold_for_rate,
 )
 
@@ -154,11 +166,19 @@ def test_threshold_for_rate_no_throttling_needed(pop4):
     assert threshold_for_rate(pop4, 5.0, 0.2) == math.inf
 
 
-def test_threshold_for_rate_rejects_bad_epsilon(pop4):
-    with pytest.raises(ValidationError):
-        threshold_for_rate(pop4, 1.8, 0.5, epsilon=0.0)
-    with pytest.raises(ValidationError):
-        threshold_for_rate(pop4, 1.8, 0.5, epsilon=-1e-9)
+def test_solvers_survive_a_segment_that_rounding_flattens():
+    # a stream one ulp above the rate: r * x / d rounds to 1, so T moves nothing
+    rate = 0.1
+    pop = Population([UserProfile(0, math.nextafter(rate, 1.0), 0.1)])
+    capacity = math.nextafter(pop.total_demand, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = threshold_for_rate(pop, capacity, rate, Mode.STREAMING)
+        assert t == 0.0
+        assert consumption(pop, Plan(t, rate, Mode.STREAMING)) == pytest.approx(capacity)
+        # a subnormal activity: x * (1 - T / d) underflows to 0, so r moves nothing
+        tiny = Population([UserProfile(0, 2.0, 5e-324)])
+        assert rate_for_threshold(tiny, 5e-324, 5e-324, Mode.STREAMING) == 0.0
 
 
 def test_rate_for_threshold_download(pop4):
@@ -196,3 +216,30 @@ def test_plan_rejects_nan_fields():
         Plan(math.nan, 0.1, Mode.DOWNLOAD)
     with pytest.raises(ValidationError, match="rate must be >= 0, got nan"):
         Plan(0.3, math.nan, Mode.STREAMING)
+
+
+CAPACITY_ENTRY_POINTS = {
+    "max_threshold": lambda pop, c: max_threshold(pop, c),
+    "threshold_for_rate": lambda pop, c: threshold_for_rate(pop, c, 0.2),
+    "rate_for_threshold": lambda pop, c: rate_for_threshold(pop, c, 0.2),
+    "optimize_download": lambda pop, c: optimize_download(pop, c, RegretParams()),
+    "kick_points": lambda pop, c: kick_points(pop, c),
+    "grid_oracle": lambda pop, c: grid_oracle(pop, c, RegretParams(), 0.01),
+    "threshold_curve": lambda pop, c: threshold_curve(pop, c, RegretParams(), 0.01),
+    "optimize_streaming": lambda pop, c: optimize_streaming(
+        pop, c, CodecSet([0.2, 0.4]), RegretParams()
+    ),
+    "streaming_curve": lambda pop, c: streaming_curve(
+        pop, c, CodecSet([0.2, 0.4]), RegretParams(), 0.01
+    ),
+    "solve_multi_tier": lambda pop, c: solve_multi_tier(
+        pop, Assignment.from_class_id("0111", 2), c, RegretParams()
+    ),
+}
+
+
+@pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(CAPACITY_ENTRY_POINTS))
+def test_entry_points_reject_bad_capacity(pop4, entry, capacity):
+    with pytest.raises(ValidationError, match="capacity must be >= 0 and finite"):
+        CAPACITY_ENTRY_POINTS[entry](pop4, capacity)

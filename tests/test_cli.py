@@ -4,7 +4,18 @@ import re
 
 import pytest
 
-from throttleplan import generate_lognormal, load_population, save_population
+from throttleplan import (
+    Mode,
+    Plan,
+    Population,
+    SimConfig,
+    UserProfile,
+    UserState,
+    generate_lognormal,
+    load_population,
+    save_population,
+    simulate,
+)
 from throttleplan.cli import main
 
 
@@ -209,7 +220,9 @@ def test_tiers_stackelberg(tmp_path):
 
 
 def test_simulate(pop4, tmp_path):
-    path = write_pop(pop4, tmp_path)
+    # ids that differ from the users' positions, so the states rows must name ids
+    pop = Population([UserProfile(10 * u.id + 7, u.rate, u.activity) for u in pop4])
+    path = write_pop(pop, tmp_path)
     prefix = tmp_path / "sim"
     code, out, _ = run(
         ["simulate", "--pop", path, "--capacity", 1.8, "--plan", "0.3,0.1",
@@ -229,7 +242,16 @@ def test_simulate(pop4, tmp_path):
     assert len(daily) == 31
     states = (tmp_path / "sim_states.csv").read_text().splitlines()
     assert states[0] == "hour,user,state"
-    assert len(states) == 1 + 4 * 720
+    trace = simulate(
+        pop, SimConfig(Plan(0.3, 0.1, Mode.STREAMING), horizon_days=30, seed=7,
+                       record_states=True)
+    )
+    st = trace.per_user_state
+    assert st.shape == (4, 720)
+    assert states[1:] == [
+        f"{h},{pop[u].id},{UserState(st[u, h]).name.lower()}"
+        for h in range(720) for u in range(4)
+    ]
     assert {row.split(",")[2] for row in states[1:]} <= {
         "inactive", "unthrottled", "throttled"
     }

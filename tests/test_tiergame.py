@@ -6,8 +6,6 @@ from scipy.optimize import OptimizeResult
 
 from throttleplan import (
     Assignment,
-    CodecSet,
-    Mode,
     RegretParams,
     ThrottlePlanError,
     TierConfig,
@@ -70,22 +68,13 @@ def test_optimize_tier_branches(pop4):
     tight = optimize_tier(pop4, (1, 2, 3), 1.5, P2)
     assert abs(tight.rate - tight.threshold) <= 1e-9
     assert 0.0 < tight.threshold < 1.0
-    with pytest.raises(ValidationError):
-        optimize_tier(pop4, (0,), -0.1, P2)
+    for bad_share in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="share must be >= 0 and finite"):
+            optimize_tier(pop4, (1, 2, 3), bad_share, P2)
     with pytest.raises(ValidationError):
         optimize_tier(pop4, (0, 0), 0.5, P2)
     with pytest.raises(ValidationError):
         optimize_tier(pop4, (7,), 0.5, P2)
-
-
-def test_optimize_tier_streaming_needs_codecs(stream3):
-    with pytest.raises(ValidationError, match="codec"):
-        optimize_tier(stream3, (0, 1, 2), 0.9, P2, mode=Mode.STREAMING)
-    plan = optimize_tier(
-        stream3, (0, 1, 2), 0.9, P2, mode=Mode.STREAMING, codecs=CodecSet([0.2, 0.4, 0.6])
-    )
-    assert plan.rate == 0.4
-    assert plan.threshold == pytest.approx(3 / 11, abs=1e-9)
 
 
 def test_deviation_regret_worked_instance(pop4, config):
