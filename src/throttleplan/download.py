@@ -1,17 +1,29 @@
-"""Optimal download-mode plans via exact interval minimization.
+"""Optimal download-mode plans via interval minimization.
 
 For download traffic the throttled set only changes at finitely many
 thresholds: a user *kicks in* when the capacity-tight rate r(T) falls to
 their demand, and *kicks out* when T grows past their demand.  Between
 consecutive events the throttled set is fixed, capacity pins r to a smooth
-function of T, and with equal exponents the within-interval minimum has a
-closed form: the smaller root of
+function of T, and with equal exponents the regret is symmetric in (T, r),
+so it is stationary at the smaller root of
 
     (C - sum_L d) - 2 h T + (sum_H 1/d) T^2 = 0
 
-which is precisely where r(T) crosses T.  Scanning all O(n) intervals and
-clamping the root into each yields the exact global optimum, no search
-required.
+which is precisely where r(T) crosses T.  The scan scores that root and
+both ends of each of the O(n) intervals and keeps the best.  The crossing
+can be a local maximum, so a minimum off the r = T diagonal is missed.
+
+Each interval's throttled suffix is read off the sorted events, counted
+from the suffix at T = 0.  For integer rho a candidate's regret is then
+sum_m (-1)^m c_m S[m, k]: c are the coefficients of
+(1 + (r + t) x + r t x^2)^rho and S[m, k] the suffix moments of x = 1/d
+for m <= 2 rho, built once per solve.  That costs O(rho^2) per candidate
+instead of the dense sum's O(n).  The alternating sum cancels, so it only
+bounds each candidate's regret.  The candidates that can still decide the
+pick, usually one, are re-scored with the dense sum, and the pick follows
+the dense values: the result is bit for bit that of scoring every candidate
+densely.  When rho is not an integer, or interval records are requested,
+every candidate is scored densely.
 """
 
 from __future__ import annotations
@@ -84,6 +96,11 @@ def _check_params(params: RegretParams) -> None:
         )
 
 
+#: Relative tie band of the interval scan: candidates and intervals whose
+#: regrets agree to within it count as equal.
+_TIE_TOL = 1e-12
+
+
 class _Ladder:
     """Sorted demands with the prefix/suffix sums every formula needs."""
 
@@ -104,6 +121,18 @@ class _Ladder:
             r = self.rate_vec(k, ts)
             k2 = np.searchsorted(self.ds, np.maximum(ts, r), side="right").astype(np.int64)
             if np.array_equal(k2, k):
+                break
+            k = k2
+        return k, r
+
+    def fixed_point_at_zero(self) -> tuple[int, float]:
+        """:meth:`fixed_point_vec` at the single threshold T = 0, in scalar arithmetic."""
+        k = int(np.searchsorted(self.ds, 0.0, side="right"))
+        for _ in range(self.n + 1):
+            h = self.n - k
+            r = max(float(self.capacity - self.prefix[k]) / h, 0.0) if h > 0 else 0.0
+            k2 = int(np.searchsorted(self.ds, r, side="right"))
+            if k2 == k:
                 break
             k = k2
         return k, r
@@ -130,12 +159,12 @@ class _Ladder:
     def regret_vec(self, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: float) -> np.ndarray:
         """Aggregate regrets for many (suffix, threshold, rate) triples.
 
-        Chunked so the broadcast never materializes more than a few million
-        terms at once.
+        Chunked so the broadcast never materializes more than a million
+        terms at once; each row still sums the same n terms.
         """
         out = np.empty(ts.size)
         cols = np.arange(self.n)
-        chunk = max(1, int(5_000_000 // max(self.n, 1)))
+        chunk = max(1, int(1_000_000 // max(self.n, 1)))
         for s in range(0, ts.size, chunk):
             e = min(s + chunk, ts.size)
             mask = cols[None, :] >= k[s:e, None]
@@ -144,9 +173,73 @@ class _Ladder:
             out[s:e] = np.sum(np.where(mask, term**rho, 0.0), axis=1)
         return out
 
+    def moments(self, top: int) -> np.ndarray:
+        """Suffix moments: column j sums d^-m over the j largest demands, m = 0..top.
 
-def _kick_thresholds(lad: _Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Membership-change thresholds in [0, t_hat) as (t_in, who_in, t_out, who_out)."""
+        The suffix from sorted index k is column n - k.  The running sums are
+        a doubling scan, so each is a balanced tree of additions, accurate to
+        ceil(log2 n) eps rather than a sequential cumsum's n eps.
+        """
+        n = self.n
+        table = np.empty((top + 1, n + 1))
+        table[:, 0] = 0.0
+        table[0, 1:] = 1.0
+        inv = 1.0 / self.ds[::-1]
+        for m in range(1, top + 1):
+            np.multiply(table[m - 1, 1:], inv, out=table[m, 1:])
+        step = 1
+        while step < n:
+            table[:, step + 1 :] = table[:, step + 1 :] + table[:, 1 : n + 1 - step]
+            step *= 2
+        return table
+
+    def regret_moments(
+        self, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Moment-form regrets for many (suffix, threshold, rate) triples, with error bounds.
+
+        With x = 1/d a member's term (1 - r x)^rho (1 - t x)^rho is
+        (1 - s x + p x^2)^rho, s = r + t, p = r t, whose x^m coefficient is
+        (-1)^m c_m for the non-negative coefficients c of
+        (1 + s x + p x^2)^rho.  The suffix sum is sum_m (-1)^m c_m S[m, k].
+        Returns it with a bound on its distance to :meth:`regret_vec`: a
+        multiple of eps times the scale sum_m c_m S[m, k], or inf where t or
+        r exceeds the smallest member's demand by more than 1e-9 relative.
+        Below that the dense form's clipping moves a member's term by at
+        most (1e-9)^rho, far under eps times its share of the scale.
+        """
+        table = self.moments(2 * rho)
+        est, err = np.empty(ts.size), np.empty(ts.size)
+        # first-order rounding of both forms is (6 rho + log2 n + 10) eps times
+        # the scale, the log2 n from the tree sums of the table and of the
+        # dense row; doubled
+        ulps = 2 * (6 * rho + math.ceil(math.log2(self.n)) + 10)
+        chunk = 1_000_000 // (2 * rho + 1)
+        for lo in range(0, ts.size, chunk):
+            part = slice(lo, lo + chunk)
+            s, p = rs[part] + ts[part], rs[part] * ts[part]
+            c = np.zeros((2 * rho + 1, s.size))
+            c[0] = 1.0
+            for j in range(rho):
+                low = c[: 2 * j + 1]
+                gain_s, gain_p = s * low, p * low
+                c[1 : 2 * j + 2] += gain_s
+                c[2 : 2 * j + 3] += gain_p
+            c *= table[:, self.n - k[part]]
+            scale = c.sum(axis=0)
+            est[part] = c[0::2].sum(axis=0) - c[1::2].sum(axis=0)
+            err[part] = ulps * np.finfo(float).eps * scale
+        clipped = np.maximum(ts, rs) > self.ds[k] * (1.0 + 1e-9)
+        return est, np.where(clipped, math.inf, err)
+
+
+def _kick_thresholds(
+    lad: _Ladder,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Membership-change thresholds in [0, t_hat) as (t_in, who_in, t_out, who_out, k0).
+
+    k0 is the suffix start of the throttled set at T = 0.
+    """
     ds, n = lad.ds, lad.n
     # kick-ins: r(T) falls to d_i while T is still below d_i
     k = np.searchsorted(ds, ds, side="right")
@@ -159,15 +252,15 @@ def _kick_thresholds(lad: _Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     # the way up leave the set: those kicked in earlier, or throttled from
     # T = 0.  Without this filter a d_i below the running rate would emit a
     # phantom event, splitting a constant-membership interval in two.
-    _, r0 = lad.fixed_point_vec(np.zeros(1))
-    out = (ds < lad.t_hat) & (good | (ds > r0[0]))
+    k0, r0 = lad.fixed_point_at_zero()
+    out = (ds < lad.t_hat) & (good | (ds > r0))
     idx = np.arange(n)
-    return t_in[good], idx[good], ds[out], idx[out]
+    return t_in[good], idx[good], ds[out], idx[out], k0
 
 
 def _kick_events(lad: _Ladder) -> list[tuple[float, KickKind, int]]:
     """All membership-change events, sorted by (threshold, kind, user)."""
-    t_in, who_in, t_out, who_out = _kick_thresholds(lad)
+    t_in, who_in, t_out, who_out, _ = _kick_thresholds(lad)
     events = [(float(t), KickKind.KICK_IN, int(i)) for t, i in zip(t_in, who_in)]
     events += [(float(t), KickKind.KICK_OUT, int(i)) for t, i in zip(t_out, who_out)]
     events.sort(key=lambda e: (e[0], e[1].value, e[2]))
@@ -189,25 +282,60 @@ def kick_points(pop: Population, capacity: float) -> list[KickEvent]:
     ]
 
 
+def _intervals(lad: _Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constant-membership intervals [a, b) covering [0, t_hat), with suffix starts k."""
+    t_in, _, t_out, _, k0 = _kick_thresholds(lad)
+    bounds = np.unique(np.concatenate(([0.0], t_in, t_out, [lad.t_hat])))
+    a, b = bounds[:-1], bounds[1:]
+    # every kick-in at or before a has joined the suffix, every kick-out left it
+    k = (
+        k0
+        - np.searchsorted(np.sort(t_in), a, side="right")
+        + np.searchsorted(t_out, a, side="right")
+    )
+    return a, b, k
+
+
+def _near_best(
+    lad: _Ladder, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: int, interior: np.ndarray
+) -> np.ndarray:
+    """Candidates whose dense regret can decide the pick, from moment-form bounds.
+
+    ``k``, ``ts`` and ``rs`` are (3, m): the root, a and b candidates of
+    every interval.  An interval's pick lies within the tie band of its
+    floor, and the best pick within the band of the smallest floor, so a
+    candidate above its interval's highest possible band can be neither its
+    floor nor its pick, and an interval above the highest possible tie bar
+    cannot tie the best.  Everything else is kept.
+    """
+    est, err = lad.regret_moments(k.ravel(), ts.ravel(), rs.ravel(), rho)
+    lo, hi = (est - err).reshape(3, -1), (est + err).reshape(3, -1)
+    lo[0, ~interior] = math.inf
+    hi[0, ~interior] = math.inf
+    upper = hi.min(axis=0)
+    upper += _TIE_TOL * (1.0 + np.abs(upper))
+    bar = float(upper.min())
+    bar += _TIE_TOL * (1.0 + abs(bar))
+    return ~(lo > upper) & ~(lo.min(axis=0) > bar)
+
+
 def _optimize_ladder(
     lad: _Ladder, rho: float, want_intervals: bool
 ) -> tuple[float, float, float, list[IntervalResult]]:
-    """Exact minimum over [0, t_hat]: returns (t, r, regret, intervals).
+    """Best candidate over [0, t_hat]: returns (t, r, regret, intervals).
 
     Per interval the candidates are the interior root (where r(T) = T), then
     the left endpoint, then the right.  Comparisons carry a relative float
     tolerance: on a single-member plateau the regret is constant, and an
     endpoint must not displace the r = T point by an ulp.  Within tolerance
     the root wins, then the leftmost candidate, keeping ties deterministic.
+    Only the candidates :func:`_near_best` keeps get their dense regret.
     """
     if lad.t_hat <= 0:
         reg = lad.regret_at(0, 0.0, 0.0, rho)
         recs = [IntervalResult(0.0, 0.0, tuple(range(lad.n)), 0.0, reg)] if want_intervals else []
         return 0.0, 0.0, reg, recs
-    t_in, _, t_out, _ = _kick_thresholds(lad)
-    bounds = np.unique(np.concatenate(([0.0], t_in, t_out, [lad.t_hat])))
-    a, b = bounds[:-1], bounds[1:]
-    k, _ = lad.fixed_point_vec(0.5 * (a + b))
+    a, b, k = _intervals(lad)
     live = lad.n - k > 0
     a, b, k = a[live], b[live], k[live]
     h = (lad.n - k).astype(float)
@@ -218,17 +346,23 @@ def _optimize_ladder(
     t_loc = (h - np.sqrt(np.clip(disc, 0.0, None))) / s_inv
     interior = (disc >= 0.0) & (a <= t_loc) & (t_loc < b)
 
-    def eval_at(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rs = lad.rate_vec(k, ts)
-        return rs, lad.regret_vec(k, ts, rs, rho)
-
-    r_loc, reg_loc = eval_at(np.where(interior, t_loc, a))
+    # the (root, a, b) candidates of every interval in one batch; those
+    # that cannot decide the pick score inf, as a non-interior root does
+    ts = np.stack((np.where(interior, t_loc, a), a, b))
+    ks = np.broadcast_to(k, ts.shape)
+    rs = lad.rate_vec(ks, ts)
+    if want_intervals or not float(rho).is_integer():
+        need = np.ones(ts.shape, dtype=bool)
+    else:
+        need = _near_best(lad, ks, ts, rs, int(rho), interior)
+    reg = np.full(ts.shape, math.inf)
+    reg[need] = lad.regret_vec(ks[need], ts[need], rs[need], rho)
+    r_loc, r_a, r_b = rs
+    reg_loc, reg_a, reg_b = reg
     reg_loc = np.where(interior, reg_loc, math.inf)
-    r_a, reg_a = eval_at(a)
-    r_b, reg_b = eval_at(b)
 
     # candidate priority (root, a, b) with a relative tolerance band
-    tol = 1e-12
+    tol = _TIE_TOL
     floor = np.minimum(reg_loc, np.minimum(reg_a, reg_b))
     band = floor + tol * (1.0 + np.abs(floor))
     pick_loc = interior & (reg_loc <= band)
@@ -258,12 +392,13 @@ def _optimize_ladder(
 def optimize_download(
     pop: Population, capacity: float, params: RegretParams, with_intervals: bool = True
 ) -> DownloadSolution:
-    """Exact regret-minimizing download plan meeting capacity.
+    """Least-regret download plan meeting capacity, as the interval scan finds it.
 
     Demands fold activity in (a downloader shifted to off-hours consumes the
-    same bytes), so the optimum depends only on d_i = rate * activity.  The
-    returned plan satisfies capacity exactly and, away from degenerate
-    single-user plateaus, has rate equal to threshold.
+    same bytes), so the plan depends only on d_i = rate * activity.  The
+    returned plan satisfies capacity exactly; its rate equals its threshold
+    unless the pick is an interval end.  The scan can miss a minimum off
+    the r = T diagonal (see the module docstring).
     """
     _check_params(params)
     _check_capacity(capacity)

@@ -1,0 +1,133 @@
+"""Randomized properties of the exact download optimizer.
+
+Populations are drawn by hypothesis with tied and duplicated demands, mixed
+activities and scales from 1e-6 to 1e6; capacities run from 5% to 99.9% of
+demand or sit at a kink.  The optimizer must meet capacity, report the
+regret of the plan it returns, and sit within the grid's discretization
+bound of a sampled threshold grid's best point.
+
+Two stronger properties, that no grid point beats the optimum (criterion 3)
+and that its rate equals its threshold (criterion 10b), fail on drawn
+populations: the scan misses minima off the r = T diagonal.  They are kept,
+with a worked instance of the miss, as strict expected failures.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from throttleplan import (
+    Plan,
+    Population,
+    RegretParams,
+    UserProfile,
+    aggregate_regret,
+    consumption,
+    grid_oracle,
+    max_threshold,
+    optimize_download,
+    rate_for_threshold,
+)
+from throttleplan.allocation import Mode
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+# a small pool makes tied demands likely; the scale spans 12 decades
+BASES = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 3.0]), st.floats(1e-2, 1e2))
+ACTIVITIES = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.05, 1.0))
+SCALES = st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6])
+EXPONENTS = st.sampled_from([2.0, 3.0, 4.0, 2.5])
+GRID_POINTS = 2000
+
+
+@st.composite
+def instances(draw):
+    """(pop, capacity, params) with capacity below total demand."""
+    pairs = draw(st.lists(st.tuples(BASES, ACTIVITIES), min_size=1, max_size=25))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))  # duplicated users
+    scale = draw(SCALES)
+    pop = Population(
+        [UserProfile(i, rate * scale, act) for i, (rate, act) in enumerate(pairs)]
+    )
+    if draw(st.booleans()):
+        # consumption at a breakpoint: a user's own demand as threshold and rate
+        kink = float(draw(st.sampled_from(pop.demands.tolist())))
+        capacity = consumption(pop, Plan(kink, kink, Mode.DOWNLOAD))
+    else:
+        capacity = draw(st.floats(0.05, 0.999)) * pop.total_demand
+    assume(0.0 < capacity < pop.total_demand)
+    rho = draw(EXPONENTS)
+    return pop, capacity, RegretParams(rho=rho, tau=rho)
+
+
+def lipschitz_bound(pop, params):
+    """Bound on |dR/dT| along the capacity-tight curve: rho (n + 1) sum 1/d.
+
+    Each throttled term (u v)^rho, u = 1 - r/d, v = 1 - T/d, moves by at
+    most rho / d per unit of T directly, and by at most rho h / d through
+    r(T), since v |dr/dT| <= h / d with h throttled users.
+    """
+    return params.rho * (len(pop) + 1) * float(np.sum(1.0 / pop.demands))
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_optimum_is_tight_and_consistent(case):
+    pop, capacity, params = case
+    sol = optimize_download(pop, capacity, params, with_intervals=False)
+    plan = sol.plan
+    t_hat = max_threshold(pop, capacity).threshold
+    assert 0.0 <= plan.threshold <= t_hat
+    assert abs(consumption(pop, plan) - capacity) <= 1e-9 * capacity
+    want = aggregate_regret(pop, plan, params)
+    assert abs(sol.regret - want) <= 1e-9 * (1.0 + want)
+    # the grid's best point lies within its discretization of the optimum
+    step = t_hat / GRID_POINTS
+    assume(step > 0.0)
+    oracle = grid_oracle(pop, capacity, params, step)
+    assert oracle.regret <= sol.regret + lipschitz_bound(pop, params) * step
+
+
+# The interval scan tries only the r = T crossing and the interval ends.  The
+# regret along the capacity curve is symmetric in (T, r), so the crossing is
+# stationary, but it can be a local maximum: for demands 1.25 and 2.5 at
+# C = 1.875 the scan returns T = r = 0.5643 with regret 0.4500011, while
+# T = 0.5, r = 0.625 (and its mirror) reach 0.4500000.  Until the scan finds
+# off-diagonal minima, neither property below holds for every population.
+OFF_DIAGONAL = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the interval scan misses minima off the r = T diagonal",
+)
+
+
+@OFF_DIAGONAL
+@settings(PROPERTY_SETTINGS, derandomize=True)
+@given(instances())
+def test_optimum_is_never_beaten_by_the_grid(case):
+    pop, capacity, params = case
+    sol = optimize_download(pop, capacity, params, with_intervals=False)
+    step = max_threshold(pop, capacity).threshold / GRID_POINTS
+    assume(step > 0.0)
+    # every grid point is a feasible plan, so it cannot beat the exact optimum
+    oracle = grid_oracle(pop, capacity, params, step)
+    assert sol.regret <= oracle.regret + 1e-12 * (1.0 + oracle.regret)
+
+
+@OFF_DIAGONAL
+@settings(PROPERTY_SETTINGS, derandomize=True)
+@given(instances())
+def test_rate_meets_threshold(case):
+    pop, capacity, params = case
+    plan = optimize_download(pop, capacity, params, with_intervals=False).plan
+    assert abs(plan.rate - plan.threshold) <= 1e-9 * max(plan.rate, plan.threshold)
+
+
+@OFF_DIAGONAL
+def test_optimum_beats_an_off_diagonal_plan():
+    # demands 1.25 and 2.5; at T = 0.5 the capacity-tight rate is 0.625
+    pop = Population([UserProfile(0, 2.5, 0.5), UserProfile(1, 2.5, 1.0)])
+    params = RegretParams()
+    off = Plan(0.5, rate_for_threshold(pop, 1.875, 0.5), Mode.DOWNLOAD)
+    sol = optimize_download(pop, 1.875, params)
+    assert sol.regret <= aggregate_regret(pop, off, params)
