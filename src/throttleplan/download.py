@@ -23,7 +23,8 @@ bounds each candidate's regret.  The candidates that can still decide the
 pick, usually one, are re-scored with the dense sum, and the pick follows
 the dense values: the result is bit for bit that of scoring every candidate
 densely.  When rho is not an integer, or interval records are requested,
-every candidate is scored densely.
+every candidate is scored densely, and so is every candidate of a small
+solve, where the dense sum costs less than the moment filter.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ def _check_params(params: RegretParams) -> None:
 #: Relative tie band of the interval scan: candidates and intervals whose
 #: regrets agree to within it count as equal.
 _TIE_TOL = 1e-12
+
+#: Solves with at most this many dense terms (candidates times members)
+#: score every candidate densely: below it the moment filter costs more.
+_DENSE_TERMS = 4096
 
 
 class _Ladder:
@@ -329,7 +334,10 @@ def _optimize_ladder(
     tolerance: on a single-member plateau the regret is constant, and an
     endpoint must not displace the r = T point by an ulp.  Within tolerance
     the root wins, then the leftmost candidate, keeping ties deterministic.
-    Only the candidates :func:`_near_best` keeps get their dense regret.
+    Only the candidates :func:`_near_best` keeps get their dense regret,
+    except in small solves: with at most 4096 dense terms (candidates times
+    members) the moment filter costs more than the dense sum it would save,
+    so every candidate is scored densely.  The pick is the same either way.
     """
     if lad.t_hat <= 0:
         reg = lad.regret_at(0, 0.0, 0.0, rho)
@@ -351,7 +359,7 @@ def _optimize_ladder(
     ts = np.stack((np.where(interior, t_loc, a), a, b))
     ks = np.broadcast_to(k, ts.shape)
     rs = lad.rate_vec(ks, ts)
-    if want_intervals or not float(rho).is_integer():
+    if want_intervals or not float(rho).is_integer() or ts.size * lad.n <= _DENSE_TERMS:
         need = np.ones(ts.shape, dtype=bool)
     else:
         need = _near_best(lad, ks, ts, rs, int(rho), interior)

@@ -13,10 +13,24 @@ low-demand users and the game resembles a leader/follower pricing game:
   ThrottlePlanError with the solver's message.
 
 All tier games run on download traffic; demands fold activity in.
+
+Most deviations are ruled out before their plan is solved.  A user joining
+tier b pays dev = fl(kappa p_b) + R with R >= 0, so a target whose price term
+alone reaches the regret to beat cannot win.  The Stackelberg loop also
+bounds R: the new plan's t and r never exceed the zero-rate threshold t_hat
+of the grown membership (the scan only searches [0, t_hat]), and adding a
+member only lowers t_hat, so t_hat_b of the tier as it stands bounds both,
+and R >= (1 - t_hat_b / d_u)^(rho + tau) when d_u > t_hat_b.  The floor
+gives t_hat_b a 1e-9 relative margin for the grown tier's different
+summation order, and the power another 1e-9 for its rounding
+(:func:`_join_floor`).  A deviation moves a user only if it strictly
+beats the best option so far, and a skipped one provably cannot, so every
+move, plan and report is the same as with every deviation solved.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -25,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .allocation import Mode, Plan, _check_capacity
+from .allocation import Mode, Plan, _check_capacity, _zero_rate_bound
 from .download import _check_grid_size, optimize_demands
 from .errors import InfeasibleError, ThrottlePlanError, ValidationError
 from .population import DEFAULT_SEED, Population, assign_tiers_binomial
@@ -174,14 +188,45 @@ def _download_plan(demands: np.ndarray, members: tuple[int, ...], share: float, 
 
 
 def _move_regret(
-    demands: list[float], plan: PlanFn, target: Sequence[int], user: int,
+    demand: float, plan: PlanFn, target: Sequence[int], user: int,
     share: float, price: float, params: RegretParams,
 ) -> tuple[float, Plan]:
-    """(regret, re-planned target) of ``user`` joining tier ``target`` at its share.
+    """(regret, re-planned target) of ``user``, of this demand, joining tier ``target``.
 
-    A download user's regret reads only the demand: it passes as a rate at activity 1."""
+    The target keeps its share.  A download user's regret reads only the
+    demand: it passes as a rate at activity 1."""
     target_plan = plan(tuple(sorted((*target, user))), share)
-    return params.kappa * price + _regret(demands[user], 1.0, target_plan, params), target_plan
+    return params.kappa * price + _regret(demand, 1.0, target_plan, params), target_plan
+
+
+def _zero_rate_threshold(demands: np.ndarray, members: Sequence[int], share: float) -> float:
+    """t_hat of a tier: the threshold meeting its share at rate 0.
+
+    inf for an empty tier or a share covering the members' demand, where no
+    finite bound holds.
+    """
+    if not members:
+        return math.inf
+    ds = np.sort(demands[list(members)])
+    prefix = np.concatenate(([0.0], np.cumsum(ds)))
+    if share >= prefix[-1]:
+        return math.inf
+    return _zero_rate_bound(ds, prefix, share)
+
+
+def _join_floor(price_term: float, t_hat: float, demand: float, exponent: float) -> float:
+    """Lower bound on the regret of a user of this demand joining a tier.
+
+    ``t_hat`` is the tier's zero-rate threshold before the join and
+    ``exponent`` is rho + tau.  It holds for any plan of the grown tier with
+    t and r at most t_hat (1 + 1e-9).  :func:`_download_plan`'s plans are
+    such plans: the scan keeps t and r within the grown tier's own t_hat,
+    and joining only lowers t_hat.
+    """
+    edge = t_hat * (1.0 + 1e-9)
+    if not demand > edge:
+        return price_term
+    return price_term + (1.0 - edge / demand) ** exponent * (1.0 - 1e-9)
 
 
 def _total_regret(
@@ -215,7 +260,7 @@ def deviation_regret(
         raise ValidationError(f"no such tier {target_tier}")
     plan = partial(_download_plan, pop.demands, rho=params.rho)
     regret, _ = _move_regret(
-        pop.demands.tolist(), plan, assignment.members()[target_tier], user,
+        float(pop.demands[user]), plan, assignment.members()[target_tier], user,
         config.capacity_shares[target_tier], config.prices[target_tier], params,
     )
     return regret
@@ -229,18 +274,27 @@ def _improving_moves(
     plan: PlanFn,
     first_only: bool = False,
 ) -> list[tuple[int, int, float]]:
-    """All (user, target tier, regret drop) strict improvements."""
+    """All (user, target tier, regret drop) strict improvements.
+
+    A tier is planned when one of its members is first checked, so an early
+    exit leaves the rest unsolved.  A target whose price term alone reaches
+    the user's current regret is skipped unsolved: it cannot be strictly
+    better (see the module docstring).
+    """
     members = assignment.members()
     shares, prices = config.capacity_shares, config.prices
-    plans = [plan(m, share) for m, share in zip(members, shares)]
+    price_terms = [params.kappa * p for p in prices]
+    plans: list[Plan | None] = [None] * config.n_tiers
     out: list[tuple[int, int, float]] = []
     for u in range(len(demands)):
         a = assignment.tier_of[u]
-        cur = params.kappa * prices[a] + _regret(demands[u], 1.0, plans[a], params)
+        if plans[a] is None:
+            plans[a] = plan(members[a], shares[a])
+        cur = price_terms[a] + _regret(demands[u], 1.0, plans[a], params)
         for b in range(config.n_tiers):
-            if b == a:
+            if b == a or price_terms[b] >= cur:
                 continue
-            dev, _ = _move_regret(demands, plan, members[b], u, shares[b], prices[b], params)
+            dev, _ = _move_regret(demands[u], plan, members[b], u, shares[b], prices[b], params)
             if dev < cur:
                 out.append((u, b, cur - dev))
                 if first_only:
@@ -489,6 +543,12 @@ def stackelberg_iterate(
     full pass moves nobody and the leader's thresholds are stable to 1e-9.
     Detected assignment cycles end the loop early as non-converged.
 
+    A target tier is solved only when :func:`_join_floor`, from the tier's
+    zero-rate threshold t_hat, is below the mover's best option so far;
+    otherwise its plan cannot beat that option and no solve could move the
+    user (see the module docstring).  Each tier's t_hat is computed at the
+    start of a round and again whenever a move changes the tier.
+
     ``progress``, if given, is called after each round with
     (iteration, thresholds, moves).
     """
@@ -518,6 +578,8 @@ def stackelberg_iterate(
     # no memo: fewer than 3% of the (members, share) keys repeat here
     plan = partial(_download_plan, pop.demands, rho=params.rho)
     demands = pop.demands.tolist()
+    price_terms = [params.kappa * p for p in prices]
+    exponent = params.rho + params.tau
     seen = {assignment.tier_of}
     prev_ts: np.ndarray | None = None
     converged = False
@@ -535,44 +597,44 @@ def stackelberg_iterate(
         )
         plans = tuple(Plan(float(t), float(t), Mode.DOWNLOAD) for t in ts)
 
-        moved = False
         moves = 0
+        tiers = list(assignment.tier_of)
         member_lists = [list(mm) for mm in members]
+        t_hats = [_zero_rate_threshold(pop.demands, mm, c) for mm, c in zip(member_lists, shares)]
         cur_plans = list(plans)
         for u in range(n):
-            a = assignment.tier_of[u]
-            throttle = _regret(demands[u], 1.0, cur_plans[a], params)
+            a = tiers[u]
+            d_u = demands[u]
+            throttle = _regret(d_u, 1.0, cur_plans[a], params)
             if a == 0 and throttle == 0.0:
                 continue  # cheapest tier, unthrottled: nothing can beat it
-            cur = params.kappa * prices[a] + throttle
-            best_dev, best_b, best_plan = cur, None, None
+            best_dev, best_b, best_plan = price_terms[a] + throttle, None, None
             for b in range(k):
-                if b == a:
+                if b == a or _join_floor(price_terms[b], t_hats[b], d_u, exponent) >= best_dev:
                     continue
                 dev, plan_b = _move_regret(
-                    demands, plan, member_lists[b], u, shares[b], prices[b], params)
+                    d_u, plan, member_lists[b], u, shares[b], prices[b], params)
                 if dev < best_dev:
                     best_dev, best_b, best_plan = dev, b, plan_b
             if best_b is not None:
                 member_lists[a].remove(u)
-                member_lists[best_b].append(u)
-                member_lists[best_b].sort()
+                bisect.insort(member_lists[best_b], u)
                 cur_plans[a] = plan(tuple(member_lists[a]), shares[a])
                 cur_plans[best_b] = best_plan
-                new_tiers = list(assignment.tier_of)
-                new_tiers[u] = best_b
-                assignment = Assignment(tuple(new_tiers), k)
-                moved = True
+                for j in (a, best_b):
+                    t_hats[j] = _zero_rate_threshold(pop.demands, member_lists[j], shares[j])
+                tiers[u] = best_b
                 moves += 1
         members = [tuple(mm) for mm in member_lists]
+        assignment = Assignment(tuple(tiers), k)
         if progress is not None:
             progress(iterations, tuple(float(t) for t in ts), moves)
 
-        if not moved and prev_ts is not None and np.max(np.abs(ts - prev_ts)) <= 1e-9:
+        if not moves and prev_ts is not None and np.max(np.abs(ts - prev_ts)) <= 1e-9:
             converged = True
             break
         prev_ts = ts
-        if moved:
+        if moves:
             if assignment.tier_of in seen:
                 break  # deterministic dynamics revisiting a state: a cycle
             seen.add(assignment.tier_of)

@@ -1,0 +1,292 @@
+"""The tier game's pruned best-response loops against unpruned references.
+
+``stackelberg_iterate`` skips a target tier whose regret floor already
+reaches the mover's best option, and ``_improving_moves`` skips a target
+whose price term reaches the user's current regret.  The references below
+solve every deviation, plan every tier up front and rebuild the assignment
+after every move, as the loops did before the floors.  The library must
+give identical reports, identical improving-move lists in the same order,
+and the same error wherever a game raises.  The floor itself is checked
+against the regret ``_move_regret`` reports on random tiers, and against
+any plan inside its stated margin.
+"""
+
+import math
+from functools import cache, partial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from throttleplan import (
+    Assignment,
+    Plan,
+    Population,
+    RegretParams,
+    ThrottlePlanError,
+    TierConfig,
+    UserProfile,
+    check_equilibrium,
+    enumerate_equilibria,
+    generate_lognormal,
+    solve_multi_tier,
+    stackelberg_iterate,
+    tiergame,
+)
+from throttleplan.allocation import Mode
+from throttleplan.download import _Ladder, _optimize_ladder
+from throttleplan.population import assign_tiers_binomial
+from throttleplan.regret import _regret
+from throttleplan.tiergame import (
+    EquilibriumReport,
+    _download_plan,
+    _join_floor,
+    _move_regret,
+    _tier_consumption,
+    _total_regret,
+    _zero_rate_threshold,
+)
+
+KAPPAS = (0.0, 0.01, 0.05, 0.2)
+
+
+def _reference_deviation(demands, plan, target, user, share, price, params):
+    target_plan = plan(tuple(sorted((*target, user))), share)
+    return params.kappa * price + _regret(demands[user], 1.0, target_plan, params), target_plan
+
+
+def _reference_stackelberg(pop, prices, capacity, kappa, seed, max_iters=tiergame.MAX_ITERS):
+    """``stackelberg_iterate`` with every deviation solved and no floors."""
+    prices = tuple(float(p) for p in prices)
+    params = RegretParams(kappa=kappa)
+    n, k = len(pop), len(prices)
+    if k == 3:
+        tier_of = tuple(assign_tiers_binomial(pop, 3, seed).tiers())
+    else:
+        base, rem = divmod(n, k)
+        chunks: list[int] = []
+        for j in range(k):
+            chunks.extend([j] * (base + rem if j == 0 else base))
+        tier_of = tuple(chunks[:n])
+    assignment = Assignment(tier_of, k)
+    plan = partial(_download_plan, pop.demands, rho=params.rho)
+    demands = pop.demands.tolist()
+    seen = {assignment.tier_of}
+    prev_ts = None
+    converged = False
+    iterations = 0
+    members = assignment.members()
+    for _ in range(max_iters):
+        iterations += 1
+        ts = np.array(solve_multi_tier(pop, assignment, capacity, params), dtype=float)
+        shares = tuple(
+            _tier_consumption(pop.demands[list(m)], float(t)) for m, t in zip(members, ts)
+        )
+        plans = tuple(Plan(float(t), float(t), Mode.DOWNLOAD) for t in ts)
+        moved = False
+        member_lists = [list(m) for m in members]
+        cur_plans = list(plans)
+        for u in range(n):
+            a = assignment.tier_of[u]
+            throttle = _regret(demands[u], 1.0, cur_plans[a], params)
+            if a == 0 and throttle == 0.0:
+                continue
+            best_dev, best_b, best_plan = params.kappa * prices[a] + throttle, None, None
+            for b in range(k):
+                if b == a:
+                    continue
+                dev, plan_b = _reference_deviation(
+                    demands, plan, member_lists[b], u, shares[b], prices[b], params)
+                if dev < best_dev:
+                    best_dev, best_b, best_plan = dev, b, plan_b
+            if best_b is not None:
+                member_lists[a].remove(u)
+                member_lists[best_b].append(u)
+                member_lists[best_b].sort()
+                cur_plans[a] = plan(tuple(member_lists[a]), shares[a])
+                cur_plans[best_b] = best_plan
+                new_tiers = list(assignment.tier_of)
+                new_tiers[u] = best_b
+                assignment = Assignment(tuple(new_tiers), k)
+                moved = True
+        members = [tuple(m) for m in member_lists]
+        if not moved and prev_ts is not None and np.max(np.abs(ts - prev_ts)) <= 1e-9:
+            converged = True
+            break
+        prev_ts = ts
+        if moved:
+            if assignment.tier_of in seen:
+                break
+            seen.add(assignment.tier_of)
+    regret = _total_regret(pop, plan, members, shares, prices, params)
+    return EquilibriumReport(converged, iterations, assignment, plans, regret, shares)
+
+
+def _reference_moves(demands, config, assignment, params, plan, first_only=False):
+    """``_improving_moves`` planning every tier up front and solving every target."""
+    members = assignment.members()
+    shares, prices = config.capacity_shares, config.prices
+    plans = [plan(m, share) for m, share in zip(members, shares)]
+    out = []
+    for u in range(len(demands)):
+        a = assignment.tier_of[u]
+        cur = params.kappa * prices[a] + _regret(demands[u], 1.0, plans[a], params)
+        for b in range(config.n_tiers):
+            if b == a:
+                continue
+            dev, _ = _reference_deviation(demands, plan, members[b], u, shares[b], prices[b], params)
+            if dev < cur:
+                out.append((u, b, cur - dev))
+                if first_only:
+                    return out
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ThrottlePlanError as exc:
+        return type(exc), str(exc)
+
+
+def _random_population(rng, n):
+    """Lognormal rates; mixed activities half the time, so demand order leaves rate order."""
+    rates = rng.lognormal(0.0, float(rng.uniform(0.3, 1.0)), n)
+    activities = rng.uniform(0.2, 1.0, n) if rng.random() < 0.5 else np.ones(n)
+    return Population(
+        [UserProfile(i, float(r), float(x)) for i, (r, x) in enumerate(zip(rates, activities))]
+    )
+
+
+def _random_game(rng):
+    n = int(rng.integers(6, 70))
+    k = int(rng.integers(2, 5))
+    pop = _random_population(rng, n)
+    prices = tuple(np.cumsum(rng.uniform(0.1, 0.6, k)).tolist())
+    kappa = KAPPAS[int(rng.integers(len(KAPPAS)))]
+    capacity = float(rng.uniform(0.55, 0.99)) * pop.total_demand
+    return pop, prices, capacity, kappa
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_stackelberg_matches_unpruned_reference(block):
+    rng = np.random.default_rng(7100 + block)
+    raised = 0
+    for _ in range(10):
+        pop, prices, capacity, kappa = _random_game(rng)
+        seed = int(rng.integers(100))
+        got = _outcome(lambda: stackelberg_iterate(pop, prices, capacity, kappa, seed=seed))
+        want = _outcome(lambda: _reference_stackelberg(pop, prices, capacity, kappa, seed))
+        assert got == want, (len(pop), prices, capacity, kappa, seed)
+        raised += isinstance(want, tuple)
+    assert raised < 10  # the draws must exercise the loop, not only its errors
+
+
+def test_stackelberg_seed_zero_matches_unpruned_reference():
+    """The benchmark's instance shape: 300 users, three tiers, kappa 0.05."""
+    pop = generate_lognormal(300, 0.0, 0.5, seed=0)
+    capacity = 0.95 * pop.total_demand
+    got = stackelberg_iterate(pop, (0.5, 0.75, 1.0), capacity, 0.05, seed=0, max_iters=6)
+    want = _reference_stackelberg(pop, (0.5, 0.75, 1.0), capacity, 0.05, 0, max_iters=6)
+    assert got == want
+
+
+def test_check_equilibrium_matches_eager_reference():
+    rng = np.random.default_rng(7200)
+    for _ in range(40):
+        n = int(rng.integers(6, 41))
+        k = int(rng.integers(2, 5))
+        pop = _random_population(rng, n)
+        shares = rng.dirichlet(np.ones(k)) * float(rng.uniform(0.55, 0.99)) * pop.total_demand
+        prices = np.cumsum(rng.uniform(0.1, 0.6, k)).tolist()
+        config = TierConfig(prices, KAPPAS[int(rng.integers(len(KAPPAS)))], shares.tolist())
+        assignment = Assignment(tuple(rng.integers(k, size=n).tolist()), k)
+        params = tiergame._game_params(config, None)
+        plan = partial(_download_plan, pop.demands, rho=params.rho)
+        want = _reference_moves(pop.demands.tolist(), config, assignment, params, plan)
+        assert check_equilibrium(pop, config, assignment) == (not want, want)
+        first = _reference_moves(pop.demands.tolist(), config, assignment, params, plan, True)
+        assert tiergame._improving_moves(
+            pop.demands.tolist(), config, assignment, params, plan, first_only=True) == first
+
+
+def test_enumeration_matches_eager_reference():
+    rng = np.random.default_rng(7300)
+    for _ in range(12):
+        n = int(rng.integers(2, 8))
+        pop = _random_population(rng, n)
+        kappa = KAPPAS[int(rng.integers(len(KAPPAS)))]
+        config = TierConfig((0.5, 1.0), kappa, (0.9 * pop.total_demand, 0.0))
+        split = float(rng.uniform())
+        cfg = tiergame._split_config(config, split)
+        params = tiergame._game_params(config, None)
+        plan = cache(partial(_download_plan, pop.demands, rho=params.rho))
+        demands = pop.demands.tolist()
+        assignments = [
+            Assignment(tuple((bits >> i) & 1 for i in range(n)), 2) for bits in range(1 << n)
+        ]
+        want = [
+            a.class_id for a in assignments
+            if not _reference_moves(demands, cfg, a, params, plan, first_only=True)
+        ]
+        assert enumerate_equilibria(pop, config, split) == want
+
+
+DEMANDS = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 3.0]), st.floats(1e-2, 1e2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    members=st.lists(DEMANDS, min_size=0, max_size=30),
+    mover=DEMANDS,
+    fraction=st.floats(0.0, 1.2),
+    price_term=st.sampled_from([0.0, 0.005, 0.05, 0.2]),
+    rho=st.sampled_from([2.0, 3.0]),
+)
+def test_floor_never_exceeds_the_solved_deviation(members, mover, fraction, price_term, rho):
+    demands = np.array(members + [mover])
+    tier = tuple(range(len(members)))
+    share = fraction * float(sum(members))
+    params = RegretParams(rho=rho, kappa=1.0)
+    plan = partial(_download_plan, demands, rho=rho)
+    t_hat = _zero_rate_threshold(demands, tier, share)
+    dev, _ = _move_regret(mover, plan, tier, len(members), share, price_term, params)
+    assert _join_floor(price_term, t_hat, mover, 2 * rho) <= dev
+    if share < demands.sum():
+        lad = _Ladder(demands, share)
+        t, r, _, _ = _optimize_ladder(lad, rho, False)
+        assert max(t, r) <= lad.t_hat
+        # the grown tier's bound sits at or below the tier's own
+        assert lad.t_hat <= t_hat * (1.0 + 1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    t_hat=st.floats(1e-3, 1e3),
+    gap=st.one_of(st.floats(1e-13, 1e-6), st.floats(1e-6, 10.0)),
+    slack=st.sampled_from([0.0, 0.5, 1.0]),
+    price_term=st.sampled_from([0.0, 0.05]),
+    rho=st.sampled_from([2.0, 3.0]),
+)
+def test_floor_holds_for_any_plan_inside_its_margin(t_hat, gap, slack, price_term, rho):
+    """Any t, r up to t_hat (1 + 1e-9), t_hat's rounding allowance, keep the floor."""
+    demand = t_hat * (1.0 + gap)
+    params = RegretParams(rho=rho, kappa=1.0)
+    edge = t_hat * (1.0 + slack * 1e-9)
+    for t, r in ((edge, edge), (edge, 0.5 * edge), (0.0, edge)):
+        regret = price_term + _regret(demand, 1.0, Plan(t, r, Mode.DOWNLOAD), params)
+        assert _join_floor(price_term, t_hat, demand, 2 * rho) <= regret
+
+
+def test_zero_rate_threshold_conventions():
+    demands = np.array([1.0, 2.0, 4.0])
+    assert _zero_rate_threshold(demands, (), 1.0) == math.inf
+    assert _zero_rate_threshold(demands, (0, 1, 2), 7.0) == math.inf
+    # min(1, t) + min(2, t) + min(4, t) = 5 at t = 2
+    assert _zero_rate_threshold(demands, (0, 1, 2), 5.0) == 2.0
+    assert _zero_rate_threshold(demands, (2,), 0.0) == 0.0
+    # no finite bound: only the price term is certain
+    assert _join_floor(0.1, math.inf, 3.0, 4.0) == 0.1
+    assert _join_floor(0.1, 2.0, 2.0, 4.0) == 0.1
+    assert 0.1 < _join_floor(0.1, 2.0, 4.0, 4.0) <= 0.1 + 0.5**4
