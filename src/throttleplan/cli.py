@@ -260,18 +260,14 @@ def cmd_simulate(args) -> int:
             plan = optimize_streaming(pop, cap, CodecSet.parse(args.codecs), params).plan
     else:
         raise ThrottlePlanError("one of --plan / --optimize is required")
-    _echo("simulate", pop=args.pop, digest=_digest(args.pop), mode=args.mode,
-          capacity=f"{cap:.6f}", days=args.days, diurnal=args.diurnal, seed=args.seed)
-    base = SimConfig(
+    config = SimConfig(
         plan=plan, horizon_days=args.days, diurnal=args.diurnal, seed=args.seed,
         record_states=args.states,
     )
-    throttled = simulate(pop, base)
-    free = SimConfig(
-        plan=Plan.no_throttling(mode), horizon_days=args.days, diurnal=args.diurnal,
-        seed=args.seed,
-    )
-    unthrottled = simulate(pop, free)
+    _echo("simulate", pop=args.pop, digest=_digest(args.pop), mode=args.mode,
+          capacity=f"{cap:.6f}", days=args.days, diurnal=args.diurnal, seed=args.seed)
+    throttled = simulate(pop, config)
+    unthrottled = throttled.unthrottled
     hourly_unit = cap / (30 * 24)
 
     def write_hourly(path, trace):

@@ -9,6 +9,21 @@ cycle before the recorded window so hour 0 already sees users mid-cycle.
 
 Per-user randomness comes from spawned seed-sequence substreams, so the
 trace is reproducible and independent of evaluation order.
+
+Users are simulated in chunks of ``CHUNK_USERS`` as (user, hour) arrays.
+Each row starts at its user's own burn-in start, one cycle or less before
+the recorded window, so billing cycles begin on the same columns in every
+row and column j is hour j of the day modulo ``hours_per_day``.  Within a
+cycle the count of earlier active hours never decreases, so the hours before
+the throttling onset are exactly those whose full-rate bytes are still below
+the threshold; a plan that never throttles is the same computation with an
+infinite threshold.  Each row's recorded window is then one gather.  Hourly
+totals add users one at a time in user order, so the chunked kernel gives
+the same bits as a per-user loop.
+
+One run yields two traces from the same draws: the plan's, and the same
+users without throttling (``CycleTrace.unthrottled``), which is the
+baseline ``variability_ratio`` divides by.
 """
 
 from __future__ import annotations
@@ -20,13 +35,16 @@ from enum import IntEnum
 import numpy as np
 
 from .allocation import Mode, Plan, _download_activity
+from .download import MAX_GRID_POINTS
 from .errors import ValidationError
-from .population import DEFAULT_SEED, Population
+from .population import DEFAULT_SEED, Population, _check_seed
 
 logger = logging.getLogger(__name__)
 
 HOURS_PER_DAY = 24
 DAYS_PER_CYCLE = 30
+#: Users simulated together as one block of (user, hour) columns.
+CHUNK_USERS = 16
 
 
 class UserState(IntEnum):
@@ -54,6 +72,12 @@ class SimConfig:
             raise ValidationError(
                 f"horizon must cover at least one {self.days_per_cycle}-day cycle"
             )
+        hours = self.horizon_days * self.hours_per_day
+        if hours > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"a horizon of {hours} hours exceeds the cap of {MAX_GRID_POINTS}"
+            )
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -63,6 +87,9 @@ class CycleTrace:
     hourly_total is in raw rate units (divide by C / cycle hours for the
     normalized view).  per_user_state, when recorded, is an (n_users, hours)
     array of UserState values.  start_days echoes each user's cycle offset.
+    unthrottled, on a trace returned by ``simulate``, is the trace of the
+    same users and draws under no throttling, without states; it is None on
+    that attached trace itself.
     """
 
     hourly_total: np.ndarray
@@ -70,95 +97,118 @@ class CycleTrace:
     start_days: np.ndarray
     hours_per_day: int
     per_user_state: np.ndarray | None = None
+    unthrottled: CycleTrace | None = None
 
 
-def diurnal_activity(x: float, hour_of_day) -> float | np.ndarray:
+def diurnal_activity(x, hour_of_day) -> float | np.ndarray:
     """Hour-dependent activity probability around the mean level x.
 
     A sine with daily period, peaking at 16:00 and crossing the mean at
-    10:00, scaled so the result stays in [0, 1] for any x in (0, 1].
+    10:00, scaled so the result stays in [0, 1] for any x in (0, 1].  x and
+    hour_of_day broadcast against each other.
     """
-    if not (0 < x <= 1):
+    xs = np.asarray(x, dtype=float)
+    if not np.all((0 < xs) & (xs <= 1)):
         raise ValidationError(f"x must be in (0, 1], got {x}")
     hour = np.asarray(hour_of_day)
     if np.any(hour < 0) or np.any(hour > 23):
         raise ValidationError("hour_of_day must be in 0..23")
-    swing = 0.5 * min(x, 1.0 - x)
-    out = swing * np.sin(2.0 * np.pi / 24.0 * (hour - 10)) + x
+    swing = 0.5 * np.minimum(xs, 1.0 - xs)
+    out = swing * np.sin(2.0 * np.pi / 24.0 * (hour - 10)) + xs
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _activity_profile(x: float, hods: np.ndarray, diurnal: bool) -> np.ndarray:
+def _active(uniforms: np.ndarray, x: np.ndarray, hours_per_day: int, diurnal: bool) -> np.ndarray:
+    """uniforms < each row's hourly activity probability; column j is hour j % hours_per_day."""
     if not diurnal:
-        return np.full(hods.size, x)
-    return np.asarray(diurnal_activity(x, hods), dtype=float)
+        return uniforms < x[:, None]
+    k, width = uniforms.shape
+    table = diurnal_activity(x[:, None], np.arange(hours_per_day))
+    return (uniforms.reshape(k, -1, hours_per_day) < table[:, None, :]).reshape(k, width)
+
+
+def _chunk_hours(uniforms, cols, rates, activities, demands, config):
+    """(active, before onset, active unthrottled) of one chunk's recorded hours.
+
+    Row i of ``uniforms`` is a user's draws from its burn start; ``cols``
+    picks each row's recorded window.  Rows are padded to whole cycles.
+    """
+    plan, hpd = config.plan, config.hours_per_day
+    k, width = uniforms.shape
+    active_x = _active(uniforms, activities, hpd, config.diurnal)
+    # full-rate bytes before each hour of the cycle: they never decrease, so
+    # the hours before the onset are exactly those still below T
+    blocks = active_x.reshape(k, -1, config.days_per_cycle * hpd)
+    # int32 holds any count: a cycle is at most the horizon, at most MAX_GRID_POINTS hours
+    before = np.cumsum(blocks, axis=2, dtype=np.int32)
+    before -= blocks
+    step_full = rates[:, None, None] / (config.days_per_cycle * hpd)
+    pre = ~(before * step_full >= plan.threshold).reshape(k, width)
+    active = active_x
+    if plan.throttles and plan.mode is Mode.DOWNLOAD:
+        ys = np.array([_download_activity(d, plan.rate) for d in demands.tolist()])
+        active = np.where(pre, active_x, _active(uniforms, ys, hpd, config.diurnal))
+    flat = cols + np.arange(0, k * width, width)[:, None]
+    return active.take(flat), pre.take(flat), active_x.take(flat)
+
+
+def _add_rows(rec: np.ndarray, total: np.ndarray, per_user: np.ndarray) -> None:
+    for row in rec:  # one user at a time, in user order, as a running sum
+        total += row
+    per_user[:] = rec.sum(axis=1)
 
 
 def simulate(pop: Population, config: SimConfig) -> CycleTrace:
-    """Run the hourly three-state simulation and return the trace."""
+    """Run the hourly three-state simulation and return the trace.
+
+    The trace's ``unthrottled`` field holds the same users and draws under
+    no throttling, without states.
+    """
     n = len(pop)
-    hours = config.horizon_days * config.hours_per_day
-    cycle = config.days_per_cycle * config.hours_per_day
+    hpd = config.hours_per_day
+    hours = config.horizon_days * hpd
+    cycle = config.days_per_cycle * hpd
     plan = config.plan
-    total = np.zeros(hours)
-    per_user = np.zeros(n)
+    total, free_total = np.zeros(hours), np.zeros(hours)
+    per_user, free_per_user = np.zeros(n), np.zeros(n)
     starts = np.zeros(n, dtype=np.int64)
     states = np.zeros((n, hours), dtype=np.int8) if config.record_states else None
+    step_slow = plan.rate / cycle
 
-    children = np.random.SeedSequence(config.seed).spawn(n)
-    columns = zip(pop.rates.tolist(), pop.activities.tolist(), pop.demands.tolist(), children)
-    for u, (rate, activity, demand, child) in enumerate(columns):
-        rng = np.random.default_rng(child)
-        start_day = int(rng.integers(0, config.days_per_cycle))
-        starts[u] = start_day
-        burn = (cycle - start_day * config.hours_per_day) % cycle
-        span = burn + hours
-        uniforms = rng.random(span)
-        hods = (np.arange(span) - burn) % config.hours_per_day
-        x_prob = _activity_profile(activity, hods, config.diurnal)
-
-        if not plan.throttles:
-            active = uniforms < x_prob
-            consume = np.where(active, rate / cycle, 0.0)
-            state = active.astype(np.int8)
-        else:
-            if plan.mode is Mode.DOWNLOAD:
-                y = _download_activity(demand, plan.rate)
-                y_prob = _activity_profile(y, hods, config.diurnal)
-            else:
-                y_prob = x_prob
-            consume = np.empty(span)
-            state = np.empty(span, dtype=np.int8)
-            step_full = rate / cycle
-            step_slow = plan.rate / cycle
-            for c0 in range(0, span, cycle):
-                c1 = min(c0 + cycle, span)
-                sl = slice(c0, c1)
-                active_x = uniforms[sl] < x_prob[sl]
-                # bytes accumulated before each hour, assuming full rate so far;
-                # valid up to the throttling onset, which is all we need
-                ranks = np.cumsum(active_x)
-                pre_acc = (ranks - active_x) * step_full
-                hit = pre_acc >= plan.threshold
-                onset = int(np.argmax(hit)) if hit.any() else c1 - c0
-                idx = np.arange(c1 - c0)
-                pre = idx < onset
-                active_y = uniforms[sl] < y_prob[sl]
-                active = np.where(pre, active_x, active_y)
-                consume[sl] = np.where(
-                    active, np.where(pre, step_full, step_slow), 0.0
-                )
-                state[sl] = np.where(
-                    active, np.where(pre, UserState.UNTHROTTLED, UserState.THROTTLED), 0
-                ).astype(np.int8)
-        rec = consume[burn:]
-        total += rec
-        per_user[u] = rec.sum()
+    seq = np.random.SeedSequence(config.seed)
+    # a row is one user's hours from its burn start, padded to whole cycles
+    buffer = np.empty((CHUNK_USERS, -(-(cycle + hours) // cycle) * cycle))
+    window = np.arange(hours)
+    for lo in range(0, n, CHUNK_USERS):
+        hi = min(lo + CHUNK_USERS, n)
+        uniforms = buffer[: hi - lo]
+        for i, child in enumerate(seq.spawn(hi - lo)):
+            rng = np.random.default_rng(child)
+            start_day = int(rng.integers(0, config.days_per_cycle))
+            starts[lo + i] = start_day
+            burn = (cycle - start_day * hpd) % cycle
+            rng.random(out=uniforms[i, : burn + hours])
+        cols = (cycle - starts[lo:hi, None] * hpd) % cycle + window
+        active, pre, active_x = _chunk_hours(
+            uniforms, cols, pop.rates[lo:hi], pop.activities[lo:hi], pop.demands[lo:hi], config
+        )
+        step_full = pop.rates[lo:hi, None] / cycle
+        consume = np.where(active, np.where(pre, step_full, step_slow), 0.0)
+        _add_rows(consume, total, per_user[lo:hi])
         if states is not None:
-            states[u] = state[burn:]
-    return CycleTrace(total, per_user, starts, config.hours_per_day, states)
+            states[lo:hi] = np.where(
+                active, np.where(pre, UserState.UNTHROTTLED, UserState.THROTTLED), 0
+            )
+        if plan.throttles:
+            _add_rows(np.where(active_x, step_full, 0.0), free_total, free_per_user[lo:hi])
+
+    if plan.throttles:
+        free = CycleTrace(free_total, free_per_user, starts, hpd)
+    else:
+        free = CycleTrace(total, per_user, starts, hpd)
+    return CycleTrace(total, per_user, starts, hpd, states, free)
 
 
 def daily_average(trace: CycleTrace | np.ndarray) -> np.ndarray:

@@ -202,6 +202,11 @@ def load_population(path) -> Population:
     return Population._from_columns(ids, rates, activities, tiers, line_of=line_of)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+
+
 def generate_codec_uniform(
     n: int,
     codec_rates: Sequence[float],
@@ -216,6 +221,7 @@ def generate_codec_uniform(
     """
     if n <= 0:
         raise ValidationError(f"n must be positive, got {n}")
+    _check_seed(seed)
     rates = np.asarray(sorted(codec_rates), dtype=float)
     if rates.size == 0 or rates[0] <= 0:
         raise ValidationError("codec rates must be positive")
@@ -246,6 +252,7 @@ def generate_lognormal(
         raise ValidationError(f"sigma must be >= 0 and finite, got {sigma}")
     if not (0 < activity <= 1):
         raise ValidationError(f"activity must be in (0, 1], got {activity}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     rates = np.sort(rng.lognormal(mean=mu, sigma=sigma, size=n), kind="stable")
     return Population._from_columns(np.arange(n), rates, np.full(n, activity))
@@ -262,6 +269,7 @@ def assign_tiers_binomial(pop: Population, n_tiers: int = 3, seed: int = DEFAULT
     """
     if n_tiers != 3:
         raise ValidationError("binomial tier seeding is defined for exactly 3 tiers")
+    _check_seed(seed)
     n = len(pop)
     base, rem = divmod(n, 3)
     # remainder goes to the bottom third

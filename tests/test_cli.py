@@ -362,6 +362,46 @@ def test_non_finite_input_exits_2(pop4, tmp_path, case):
     assert not (tmp_path / "g.csv").exists()
 
 
+# one command per out-of-range input that numpy would reject with a traceback
+OUT_OF_RANGE_INPUTS = {
+    "generate-seed": (
+        lambda pop, tmp: ["generate", "--dist", "codec:v=0.5,1.0", "--n", 3, "--seed", -1,
+                          "-o", tmp / "g.csv"],
+        "error: seed must be a non-negative integer, got -1",
+    ),
+    "generate-lognormal-seed": (
+        lambda pop, tmp: ["generate", "--dist", "lognormal:mu=0,sigma=0.5", "--n", 3,
+                          "--seed", -1, "-o", tmp / "g.csv"],
+        "error: seed must be a non-negative integer, got -1",
+    ),
+    "stackelberg-seed": (
+        lambda pop, tmp: ["tiers", "stackelberg", "--pop", pop, "--capacity", 1.8,
+                          "--prices", "0.5,0.75,1.0", "--seed", -1],
+        "error: seed must be a non-negative integer, got -1",
+    ),
+    "simulate-seed": (
+        lambda pop, tmp: ["simulate", "--pop", pop, "--capacity", 1.8, "--plan", "0.3,0.1",
+                          "--seed", -1, "--out-prefix", tmp / "x"],
+        "error: seed must be a non-negative integer, got -1",
+    ),
+    "simulate-days": (
+        lambda pop, tmp: ["simulate", "--pop", pop, "--capacity", 1.8, "--plan", "0.3,0.1",
+                          "--days", 100_000_000, "--out-prefix", tmp / "x"],
+        "error: a horizon of 2400000000 hours exceeds the cap of 1000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_INPUTS))
+def test_out_of_range_input_exits_2(pop4, tmp_path, case):
+    argv, expected = OUT_OF_RANGE_INPUTS[case]
+    code, _, err = run(argv(write_pop(pop4, tmp_path, "pop4.csv"), tmp_path))
+    assert code == 2
+    assert err.splitlines() == [expected]
+    assert not (tmp_path / "g.csv").exists()
+    assert not (tmp_path / "x_throttled_hourly.csv").exists()
+
+
 def test_curve_step_over_the_grid_cap_exits_2(pop4, tmp_path):
     path = write_pop(pop4, tmp_path)
     code, _, err = run(["optimize", "--pop", path, "--capacity", 1.8,

@@ -208,3 +208,15 @@ def test_staggered_cycles_smooth_out_with_scale():
     small = np.mean([_staggering_ratio(30, s) for s in range(3)])
     large = np.mean([_staggering_ratio(300, s) for s in range(3)])
     assert large < small
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+        SimConfig(Plan(0.3, 0.1, Mode.STREAMING), seed=-1)
+
+
+def test_config_rejects_a_horizon_over_the_cap():
+    # checked before anything is allocated: the states alone would be 24 GB
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        SimConfig(Plan(0.3, 0.1, Mode.STREAMING), horizon_days=10**8, record_states=True)
+    SimConfig(Plan(0.3, 0.1, Mode.STREAMING), horizon_days=10**6 // 24)
