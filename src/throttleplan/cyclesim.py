@@ -4,8 +4,11 @@ Each user gets a uniform-random start day inside a 30-day cycle.  Every hour
 they are active with probability x (optionally modulated by a diurnal sine)
 and consume their rate divided by the cycle's hours; once the bytes
 accumulated since their own cycle start reach the plan threshold they switch
-to the post-throttle rate until the cycle resets.  Simulation begins one
-cycle before the recorded window so hour 0 already sees users mid-cycle.
+to the post-throttle rate until the cycle resets.  A user whose own rate is
+at most the post-throttle rate keeps their own rate, as in
+``allocation.partition``, where such a user is low-rate: throttling never
+raises anyone's consumption.  Simulation begins one cycle before the
+recorded window so hour 0 already sees users mid-cycle.
 
 Per-user randomness comes from spawned seed-sequence substreams, so the
 trace is reproducible and independent of evaluation order.
@@ -148,7 +151,8 @@ def _chunk_hours(uniforms, cols, rates, activities, demands, config):
     pre = ~(before * step_full >= plan.threshold).reshape(k, width)
     active = active_x
     if plan.throttles and plan.mode is Mode.DOWNLOAD:
-        ys = np.array([_download_activity(d, plan.rate) for d in demands.tolist()])
+        slow = np.minimum(rates, plan.rate).tolist()
+        ys = np.array([_download_activity(d, r) for d, r in zip(demands.tolist(), slow)])
         active = np.where(pre, active_x, _active(uniforms, ys, hpd, config.diurnal))
     flat = cols + np.arange(0, k * width, width)[:, None]
     return active.take(flat), pre.take(flat), active_x.take(flat)
@@ -175,7 +179,6 @@ def simulate(pop: Population, config: SimConfig) -> CycleTrace:
     per_user, free_per_user = np.zeros(n), np.zeros(n)
     starts = np.zeros(n, dtype=np.int64)
     states = np.zeros((n, hours), dtype=np.int8) if config.record_states else None
-    step_slow = plan.rate / cycle
 
     seq = np.random.SeedSequence(config.seed)
     # a row is one user's hours from its burn start, padded to whole cycles
@@ -195,6 +198,7 @@ def simulate(pop: Population, config: SimConfig) -> CycleTrace:
             uniforms, cols, pop.rates[lo:hi], pop.activities[lo:hi], pop.demands[lo:hi], config
         )
         step_full = pop.rates[lo:hi, None] / cycle
+        step_slow = np.minimum(pop.rates[lo:hi, None], plan.rate) / cycle
         consume = np.where(active, np.where(pre, step_full, step_slow), 0.0)
         _add_rows(consume, total, per_user[lo:hi])
         if states is not None:

@@ -270,6 +270,18 @@ def test_simulate_is_byte_reproducible(pop4, tmp_path):
     assert a == b
 
 
+def test_simulate_plan_with_an_infinite_rate_is_unthrottled(pop4, tmp_path):
+    code, out, _ = run(
+        ["simulate", "--pop", write_pop(pop4, tmp_path), "--capacity", 1.8,
+         "--plan", "0.3,inf", "--days", 30, "--out-prefix", tmp_path / "x"]
+    )
+    assert code == 0
+    assert "variability_ratio=0.000000 excluded_hours=0" in out
+    assert (tmp_path / "x_throttled_hourly.csv").read_bytes() == (
+        tmp_path / "x_unthrottled_hourly.csv"
+    ).read_bytes()
+
+
 def test_simulate_rejects_short_horizon(pop4, tmp_path):
     path = write_pop(pop4, tmp_path)
     code, _, err = run(

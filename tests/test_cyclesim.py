@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -220,3 +221,15 @@ def test_config_rejects_a_horizon_over_the_cap():
     with pytest.raises(ValidationError, match="exceeds the cap"):
         SimConfig(Plan(0.3, 0.1, Mode.STREAMING), horizon_days=10**8, record_states=True)
     SimConfig(Plan(0.3, 0.1, Mode.STREAMING), horizon_days=10**6 // 24)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_throttle_above_the_users_rate_keeps_their_consumption(mode):
+    # 0.2 * 0.5 and back divide exactly, so download activity stays 0.5
+    pop = Population([UserProfile(0, 0.2, 1.0), UserProfile(1, 0.2, 0.5)])
+    free = simulate(pop, SimConfig(Plan.no_throttling(mode), horizon_days=60, seed=1))
+    for plan in (Plan(0.1, 0.3, mode), Plan(0.01, math.inf, mode)):
+        trace = simulate(pop, SimConfig(plan, horizon_days=60, seed=1, record_states=True))
+        assert trace.hourly_total.tobytes() == free.hourly_total.tobytes()
+        assert trace.per_user_total.tobytes() == free.per_user_total.tobytes()
+        assert np.any(trace.per_user_state == UserState.THROTTLED)

@@ -3,7 +3,8 @@
 ``_loop_simulate`` below is the billing-cycle simulator as it stood before
 chunked columns: one user at a time, one numpy pass per billing cycle, the
 onset found with ``argmax``, and a separate branch for plans that never
-throttle.  It is kept here as a test-only reference.  The library must give
+throttle; its post-throttle rate is capped at the user's own rate, as the
+library's is.  It is kept here as a test-only reference.  The library must give
 the same hourly totals, per-user totals, start days and states bit for bit,
 and the unthrottled trace it attaches must equal a separate no-throttling
 run on the same seed.
@@ -62,14 +63,15 @@ def _loop_simulate(pop, config):
             consume = np.where(active, rate / cycle, 0.0)
             state = active.astype(np.int8)
         else:
+            slow = min(rate, plan.rate)
             if plan.mode is Mode.DOWNLOAD:
-                y_prob = _profile(_download_activity(demand, plan.rate), hods, config.diurnal)
+                y_prob = _profile(_download_activity(demand, slow), hods, config.diurnal)
             else:
                 y_prob = x_prob
             consume = np.empty(span)
             state = np.empty(span, dtype=np.int8)
             step_full = rate / cycle
-            step_slow = plan.rate / cycle
+            step_slow = slow / cycle
             for c0 in range(0, span, cycle):
                 c1 = min(c0 + cycle, span)
                 sl = slice(c0, c1)
