@@ -4,29 +4,16 @@ Each user gets a uniform-random start day inside a 30-day cycle.  Every hour
 they are active with probability x (optionally modulated by a diurnal sine)
 and consume their rate divided by the cycle's hours; once the bytes
 accumulated since their own cycle start reach the plan threshold they switch
-to the post-throttle rate until the cycle resets.  A user whose own rate is
-at most the post-throttle rate keeps their own rate, as in
-``allocation.partition``, where such a user is low-rate: throttling never
-raises anyone's consumption.  Simulation begins one cycle before the
-recorded window so hour 0 already sees users mid-cycle.
+to the post-throttle rate, capped at their own rate as for a low-rate user in
+``allocation.partition``, until the cycle resets.  Simulation begins one
+cycle before the recorded window so hour 0 already sees users mid-cycle.
 
 Per-user randomness comes from spawned seed-sequence substreams, so the
-trace is reproducible and independent of evaluation order.
-
-Users are simulated in chunks of ``CHUNK_USERS`` as (user, hour) arrays.
-Each row starts at its user's own burn-in start, one cycle or less before
-the recorded window, so billing cycles begin on the same columns in every
-row and column j is hour j of the day modulo ``hours_per_day``.  Within a
-cycle the count of earlier active hours never decreases, so the hours before
-the throttling onset are exactly those whose full-rate bytes are still below
-the threshold; a plan that never throttles is the same computation with an
-infinite threshold.  Each row's recorded window is then one gather.  Hourly
-totals add users one at a time in user order, so the chunked kernel gives
-the same bits as a per-user loop.
-
-One run yields two traces from the same draws: the plan's, and the same
-users without throttling (``CycleTrace.unthrottled``), which is the
-baseline ``variability_ratio`` divides by.
+trace is reproducible and independent of evaluation order.  Users run in
+chunks of ``CHUNK_USERS`` rows that start at each user's burn-in start, so
+cycles begin on the same columns in every row; totals still add users one at
+a time, in order.  One run yields the plan's trace and, from the same draws,
+the unthrottled baseline.
 """
 
 from __future__ import annotations
@@ -77,9 +64,7 @@ class SimConfig:
             )
         hours = self.horizon_days * self.hours_per_day
         if hours > MAX_GRID_POINTS:
-            raise ValidationError(
-                f"a horizon of {hours} hours exceeds the cap of {MAX_GRID_POINTS}"
-            )
+            raise ValidationError(f"a horizon of {hours} hours exceeds the cap of {MAX_GRID_POINTS}")
         _check_seed(self.seed)
 
 
@@ -90,9 +75,8 @@ class CycleTrace:
     hourly_total is in raw rate units (divide by C / cycle hours for the
     normalized view).  per_user_state, when recorded, is an (n_users, hours)
     array of UserState values.  start_days echoes each user's cycle offset.
-    unthrottled, on a trace returned by ``simulate``, is the trace of the
-    same users and draws under no throttling, without states; it is None on
-    that attached trace itself.
+    unthrottled holds the same users and draws under no throttling, without
+    states (None on that attached trace itself).
     """
 
     hourly_total: np.ndarray
@@ -124,94 +108,72 @@ def diurnal_activity(x, hour_of_day) -> float | np.ndarray:
 
 
 def _active(uniforms: np.ndarray, x: np.ndarray, hours_per_day: int, diurnal: bool) -> np.ndarray:
-    """uniforms < each row's hourly activity probability; column j is hour j % hours_per_day."""
+    """uniforms < each row's activity probability; column j is hour j % hours_per_day."""
     if not diurnal:
         return uniforms < x[:, None]
-    k, width = uniforms.shape
     table = diurnal_activity(x[:, None], np.arange(hours_per_day))
-    return (uniforms.reshape(k, -1, hours_per_day) < table[:, None, :]).reshape(k, width)
+    days = uniforms.reshape(len(x), -1, hours_per_day)
+    return (days < table[:, None, :]).reshape(uniforms.shape)
 
 
-def _chunk_hours(uniforms, cols, rates, activities, demands, config):
-    """(active, before onset, active unthrottled) of one chunk's recorded hours.
-
-    Row i of ``uniforms`` is a user's draws from its burn start; ``cols``
-    picks each row's recorded window.  Rows are padded to whole cycles.
-    """
+def _chunk(uniforms, burns, rates, activities, demands, config):
+    """(consumption, states, unthrottled consumption) in each row's window from burns[i]."""
     plan, hpd = config.plan, config.hours_per_day
+    cycle = config.days_per_cycle * hpd
     k, width = uniforms.shape
+    step_full = rates[:, None] / cycle
     active_x = _active(uniforms, activities, hpd, config.diurnal)
-    # full-rate bytes before each hour of the cycle: they never decrease, so
-    # the hours before the onset are exactly those still below T
-    blocks = active_x.reshape(k, -1, config.days_per_cycle * hpd)
-    # int32 holds any count: a cycle is at most the horizon, at most MAX_GRID_POINTS hours
+    # earlier active hours in the cycle (int32: at most MAX_GRID_POINTS) never
+    # decrease, so pre-onset hours are exactly those with full-rate bytes < T
+    blocks = active_x.reshape(k, -1, cycle)
     before = np.cumsum(blocks, axis=2, dtype=np.int32)
     before -= blocks
-    step_full = rates[:, None, None] / (config.days_per_cycle * hpd)
-    pre = ~(before * step_full >= plan.threshold).reshape(k, width)
+    pre = ~(before * step_full[:, :, None] >= plan.threshold).reshape(k, width)
+    slow = np.minimum(rates, plan.rate)
     active = active_x
     if plan.throttles and plan.mode is Mode.DOWNLOAD:
-        slow = np.minimum(rates, plan.rate).tolist()
-        ys = np.array([_download_activity(d, r) for d, r in zip(demands.tolist(), slow)])
+        ys = np.array([_download_activity(d, r) for d, r in zip(demands.tolist(), slow.tolist())])
         active = np.where(pre, active_x, _active(uniforms, ys, hpd, config.diurnal))
-    flat = cols + np.arange(0, k * width, width)[:, None]
-    return active.take(flat), pre.take(flat), active_x.take(flat)
-
-
-def _add_rows(rec: np.ndarray, total: np.ndarray, per_user: np.ndarray) -> None:
-    for row in rec:  # one user at a time, in user order, as a running sum
-        total += row
-    per_user[:] = rec.sum(axis=1)
+    flat = np.arange(config.horizon_days * hpd) + (np.arange(k) * width + burns)[:, None]
+    active, pre, active_x = active.take(flat), pre.take(flat), active_x.take(flat)
+    consume = np.where(active, np.where(pre, step_full, slow[:, None] / cycle), 0.0)
+    state = None
+    if config.record_states:
+        state = np.where(active, np.where(pre, UserState.UNTHROTTLED, UserState.THROTTLED), 0)
+    return consume, state, np.where(active_x, step_full, 0.0)
 
 
 def simulate(pop: Population, config: SimConfig) -> CycleTrace:
-    """Run the hourly three-state simulation and return the trace.
-
-    The trace's ``unthrottled`` field holds the same users and draws under
-    no throttling, without states.
-    """
+    """Run the hourly three-state simulation; ``unthrottled`` reuses its draws."""
     n = len(pop)
     hpd = config.hours_per_day
     hours = config.horizon_days * hpd
     cycle = config.days_per_cycle * hpd
-    plan = config.plan
     total, free_total = np.zeros(hours), np.zeros(hours)
     per_user, free_per_user = np.zeros(n), np.zeros(n)
     starts = np.zeros(n, dtype=np.int64)
     states = np.zeros((n, hours), dtype=np.int8) if config.record_states else None
 
     seq = np.random.SeedSequence(config.seed)
-    # a row is one user's hours from its burn start, padded to whole cycles
+    # one row per user from its burn-in start, padded to whole cycles
     buffer = np.empty((CHUNK_USERS, -(-(cycle + hours) // cycle) * cycle))
-    window = np.arange(hours)
     for lo in range(0, n, CHUNK_USERS):
         hi = min(lo + CHUNK_USERS, n)
-        uniforms = buffer[: hi - lo]
+        burns = np.empty(hi - lo, dtype=np.int64)
         for i, child in enumerate(seq.spawn(hi - lo)):
             rng = np.random.default_rng(child)
-            start_day = int(rng.integers(0, config.days_per_cycle))
-            starts[lo + i] = start_day
-            burn = (cycle - start_day * hpd) % cycle
-            rng.random(out=uniforms[i, : burn + hours])
-        cols = (cycle - starts[lo:hi, None] * hpd) % cycle + window
-        active, pre, active_x = _chunk_hours(
-            uniforms, cols, pop.rates[lo:hi], pop.activities[lo:hi], pop.demands[lo:hi], config
-        )
-        step_full = pop.rates[lo:hi, None] / cycle
-        step_slow = np.minimum(pop.rates[lo:hi, None], plan.rate) / cycle
-        consume = np.where(active, np.where(pre, step_full, step_slow), 0.0)
-        _add_rows(consume, total, per_user[lo:hi])
+            starts[lo + i] = rng.integers(0, config.days_per_cycle)
+            burns[i] = (cycle - starts[lo + i] * hpd) % cycle
+            rng.random(out=buffer[i, : burns[i] + hours])
+        cols = pop.rates[lo:hi], pop.activities[lo:hi], pop.demands[lo:hi]
+        consume, state, free = _chunk(buffer[: hi - lo], burns, *cols, config)
+        for rows, sums, per in ((consume, total, per_user), (free, free_total, free_per_user)):
+            for row in rows:  # one user at a time, in user order, as a running sum
+                sums += row
+            per[lo:hi] = rows.sum(axis=1)
         if states is not None:
-            states[lo:hi] = np.where(
-                active, np.where(pre, UserState.UNTHROTTLED, UserState.THROTTLED), 0
-            )
-        if plan.throttles:
-            _add_rows(np.where(active_x, step_full, 0.0), free_total, free_per_user[lo:hi])
-
-    if plan.throttles:
-        free = CycleTrace(free_total, free_per_user, starts, hpd)
-    else:
-        free = CycleTrace(total, per_user, starts, hpd)
+            states[lo:hi] = state
+    free = CycleTrace(free_total, free_per_user, starts, hpd)
     return CycleTrace(total, per_user, starts, hpd, states, free)
 
 
@@ -229,7 +191,8 @@ def variability_ratio(throttled: CycleTrace, unthrottled: CycleTrace) -> float:
     """Std over hours of throttled / unthrottled aggregate consumption.
 
     Hours where the unthrottled trace is zero are excluded (logged when any
-    are).  Run both traces from the same seed so activity noise cancels.
+    are).  Pass a trace and its ``unthrottled`` baseline, which shares its
+    draws, so activity noise cancels.
     """
     t = throttled.hourly_total
     u = unthrottled.hourly_total

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from throttleplan import (
     Mode,
     Plan,
-    Population,
     SimConfig,
     UserState,
     diurnal_activity,
