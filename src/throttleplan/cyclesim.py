@@ -58,6 +58,8 @@ class SimConfig:
     def __post_init__(self):
         if self.days_per_cycle <= 0 or self.hours_per_day <= 0:
             raise ValidationError("cycle dimensions must be positive")
+        if self.diurnal and self.hours_per_day == 1:
+            raise ValidationError("a diurnal profile needs at least 2 hours per day")
         if self.horizon_days < self.days_per_cycle:
             raise ValidationError(
                 f"horizon must cover at least one {self.days_per_cycle}-day cycle"
@@ -87,21 +89,24 @@ class CycleTrace:
     unthrottled: CycleTrace | None = None
 
 
-def diurnal_activity(x, hour_of_day) -> float | np.ndarray:
+def diurnal_activity(x, hour_of_day, hours_per_day: int = HOURS_PER_DAY) -> float | np.ndarray:
     """Hour-dependent activity probability around the mean level x.
 
-    A sine with daily period, peaking at 16:00 and crossing the mean at
-    10:00, scaled so the result stays in [0, 1] for any x in (0, 1].  x and
-    hour_of_day broadcast against each other.
+    A sine with a period of one day of ``hours_per_day`` hours, peaking at
+    16:00 and crossing the mean at 10:00 on a 24-hour clock scaled to that
+    day, and scaled so the result stays in [0, 1] for any x in (0, 1].  Over
+    a day of two or more hours it averages to x.  x and hour_of_day
+    broadcast against each other.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all((0 < xs) & (xs <= 1)):
         raise ValidationError(f"x must be in (0, 1], got {x}")
+    hpd = hours_per_day
     hour = np.asarray(hour_of_day)
-    if np.any(hour < 0) or np.any(hour > 23):
-        raise ValidationError("hour_of_day must be in 0..23")
+    if np.any(hour < 0) or np.any(hour >= hpd):
+        raise ValidationError(f"hour_of_day must be in 0..{hpd - 1}")
     swing = 0.5 * np.minimum(xs, 1.0 - xs)
-    out = swing * np.sin(2.0 * np.pi / 24.0 * (hour - 10)) + xs
+    out = swing * np.sin(2.0 * np.pi / hpd * (hour - 10 * hpd / 24)) + xs
     if out.ndim == 0:
         return float(out)
     return out
@@ -111,7 +116,7 @@ def _active(uniforms: np.ndarray, x: np.ndarray, hours_per_day: int, diurnal: bo
     """uniforms < each row's activity probability; column j is hour j % hours_per_day."""
     if not diurnal:
         return uniforms < x[:, None]
-    table = diurnal_activity(x[:, None], np.arange(hours_per_day))
+    table = diurnal_activity(x[:, None], np.arange(hours_per_day), hours_per_day)
     days = uniforms.reshape(len(x), -1, hours_per_day)
     return (days < table[:, None, :]).reshape(uniforms.shape)
 

@@ -25,6 +25,16 @@ the dense values: the result is bit for bit that of scoring every candidate
 densely.  When rho is not an integer, or interval records are requested,
 every candidate is scored densely, and so is every candidate of a small
 solve, where the dense sum costs less than the moment filter.
+
+Many small solves at once, as the two-tier enumeration makes, go through a
+row-batched dense scan (:func:`_optimize_rows`).  Each row of an (m, s)
+demand array gets its own ladder from a stable row sort and sequential row
+sums, searchsorted becomes a per-row count, and the interval bounds a row
+sort with equal neighbours merged.  The intervals of all rows then run
+flat, tagged by row, through the same candidate and pick code as the single
+scan, and each row keeps its first rooted, else first tied, interval, so
+every row gets bit for bit what :func:`optimize_demands` gives it.  Single
+solves stay on the single scan: one row costs the batch about twice as much.
 """
 
 from __future__ import annotations
@@ -105,6 +115,65 @@ _TIE_TOL = 1e-12
 #: score every candidate densely: below it the moment filter costs more.
 _DENSE_TERMS = 4096
 
+#: Most terms a dense regret batch materializes at once.
+_CHUNK_TERMS = 1_000_000
+
+
+def _dense_regret(
+    ds: np.ndarray, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: float
+) -> np.ndarray:
+    """Regret of each (suffix, threshold, rate) triple, summed densely over a sorted row.
+
+    ``ds`` is one sorted demand row (1, n) shared by every triple, or one
+    row per triple; each sum runs over all n columns, zeros outside the
+    suffix, so every triple's sum has the same shape.
+    """
+    mask = np.arange(ds.shape[1]) >= k[:, None]
+    term = np.clip(1.0 - rs[:, None] / ds, 0.0, None)
+    term *= np.clip(1.0 - ts[:, None] / ds, 0.0, None)
+    return np.sum(np.where(mask, term**rho, 0.0), axis=1)
+
+
+def _candidates(
+    a: np.ndarray, b: np.ndarray, h: np.ndarray, spare: np.ndarray, s_inv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (root, a, b) candidates of live intervals [a, b): (ts (3, m), rs (3, m), interior).
+
+    ``h`` is each interval's throttled count, ``spare`` the capacity left
+    after the unthrottled prefix and ``s_inv`` the suffix sum of 1/d.  The
+    root is where r(T) = T; ``interior`` marks the intervals holding it, the
+    others carry a in its place.  Rates are capacity-tight, clamped at 0.
+    """
+    disc = h * h - spare * s_inv
+    t_loc = (h - np.sqrt(np.clip(disc, 0.0, None))) / s_inv
+    interior = (disc >= 0.0) & (a <= t_loc) & (t_loc < b)
+    ts = np.stack((np.where(interior, t_loc, a), a, b))
+    denom = h - ts * s_inv
+    safe = (denom > 1e-12) & (h > 0)
+    rs = np.where(safe, (spare - h * ts) / np.where(safe, denom, 1.0), 0.0)
+    return ts, np.clip(rs, 0.0, None), interior
+
+
+def _pick(
+    ts: np.ndarray, rs: np.ndarray, reg: np.ndarray, interior: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each interval's pick among its candidates: (t, r, regret, rooted pick).
+
+    Candidate priority is (root, a, b) within a relative tie band of the
+    interval's floor; a non-interior root never counts.
+    """
+    r_loc, r_a, r_b = rs
+    reg_loc, reg_a, reg_b = reg
+    reg_loc = np.where(interior, reg_loc, math.inf)
+    floor = np.minimum(reg_loc, np.minimum(reg_a, reg_b))
+    band = floor + _TIE_TOL * (1.0 + np.abs(floor))
+    pick_loc = interior & (reg_loc <= band)
+    pick_a = ~pick_loc & (reg_a <= band)
+    t_best = np.where(pick_loc, ts[0], np.where(pick_a, ts[1], ts[2]))
+    r_best = np.where(pick_loc, r_loc, np.where(pick_a, r_a, r_b))
+    reg_best = np.where(pick_loc, reg_loc, np.where(pick_a, reg_a, reg_b))
+    return t_best, r_best, reg_best, pick_loc
+
 
 class _Ladder:
     """Sorted demands with the prefix/suffix sums every formula needs."""
@@ -168,14 +237,10 @@ class _Ladder:
         terms at once; each row still sums the same n terms.
         """
         out = np.empty(ts.size)
-        cols = np.arange(self.n)
-        chunk = max(1, int(1_000_000 // max(self.n, 1)))
+        chunk = max(1, int(_CHUNK_TERMS // max(self.n, 1)))
         for s in range(0, ts.size, chunk):
             e = min(s + chunk, ts.size)
-            mask = cols[None, :] >= k[s:e, None]
-            term = np.clip(1.0 - rs[s:e, None] / self.ds[None, :], 0.0, None)
-            term *= np.clip(1.0 - ts[s:e, None] / self.ds[None, :], 0.0, None)
-            out[s:e] = np.sum(np.where(mask, term**rho, 0.0), axis=1)
+            out[s:e] = _dense_regret(self.ds[None, :], k[s:e], ts[s:e], rs[s:e], rho)
         return out
 
     def moments(self, top: int) -> np.ndarray:
@@ -346,41 +411,21 @@ def _optimize_ladder(
     a, b, k = _intervals(lad)
     live = lad.n - k > 0
     a, b, k = a[live], b[live], k[live]
-    h = (lad.n - k).astype(float)
-
-    spare = lad.capacity - lad.prefix[k]
-    s_inv = lad.suf_inv[k]
-    disc = h * h - spare * s_inv
-    t_loc = (h - np.sqrt(np.clip(disc, 0.0, None))) / s_inv
-    interior = (disc >= 0.0) & (a <= t_loc) & (t_loc < b)
-
-    # the (root, a, b) candidates of every interval in one batch; those
-    # that cannot decide the pick score inf, as a non-interior root does
-    ts = np.stack((np.where(interior, t_loc, a), a, b))
+    ts, rs, interior = _candidates(
+        a, b, (lad.n - k).astype(float), lad.capacity - lad.prefix[k], lad.suf_inv[k]
+    )
+    # candidates that cannot decide the pick score inf, as a non-interior root does
     ks = np.broadcast_to(k, ts.shape)
-    rs = lad.rate_vec(ks, ts)
     if want_intervals or not float(rho).is_integer() or ts.size * lad.n <= _DENSE_TERMS:
         need = np.ones(ts.shape, dtype=bool)
     else:
         need = _near_best(lad, ks, ts, rs, int(rho), interior)
     reg = np.full(ts.shape, math.inf)
     reg[need] = lad.regret_vec(ks[need], ts[need], rs[need], rho)
-    r_loc, r_a, r_b = rs
-    reg_loc, reg_a, reg_b = reg
-    reg_loc = np.where(interior, reg_loc, math.inf)
-
-    # candidate priority (root, a, b) with a relative tolerance band
-    tol = _TIE_TOL
-    floor = np.minimum(reg_loc, np.minimum(reg_a, reg_b))
-    band = floor + tol * (1.0 + np.abs(floor))
-    pick_loc = interior & (reg_loc <= band)
-    pick_a = ~pick_loc & (reg_a <= band)
-    t_best = np.where(pick_loc, t_loc, np.where(pick_a, a, b))
-    r_best = np.where(pick_loc, r_loc, np.where(pick_a, r_a, r_b))
-    reg_best = np.where(pick_loc, reg_loc, np.where(pick_a, reg_a, reg_b))
+    t_best, r_best, reg_best, pick_loc = _pick(ts, rs, reg, interior)
 
     best = float(reg_best.min())
-    tied = reg_best <= best + tol * (1.0 + abs(best))
+    tied = reg_best <= best + _TIE_TOL * (1.0 + abs(best))
     rooted = tied & pick_loc
     # the r(T) = T crossing is unique, so at most one tied interval holds it
     i = int(np.argmax(rooted)) if rooted.any() else int(np.argmax(tied))
@@ -428,6 +473,172 @@ def optimize_demands(demands: np.ndarray, capacity: float, rho: float) -> tuple[
         return math.inf, math.inf, 0.0
     lad = _Ladder(np.asarray(demands, dtype=float), capacity)
     t, r, reg, _ = _optimize_ladder(lad, rho, want_intervals=False)
+    return t, r, reg
+
+
+def _optimize_rows(
+    rows: np.ndarray, capacities: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`optimize_demands` of every row: (t, r, regret) arrays, bit for bit.
+
+    ``rows`` is (m, s), one demand set per row, and ``capacities`` (m,).
+    Every candidate is scored densely, so this pays off for many small
+    rows; rows are scanned in chunks whose largest temporary, the dense
+    candidate sums, stays near :data:`_CHUNK_TERMS` terms.
+    """
+    rows = np.asarray(rows, dtype=float)
+    capacities = np.asarray(capacities, dtype=float)
+    m, s = rows.shape
+    t, r, reg = np.full(m, math.inf), np.full(m, math.inf), np.zeros(m)
+    todo = np.flatnonzero(capacities < rows.sum(axis=1))
+    # at most 2 s + 1 intervals a row, three candidates each, s terms a sum
+    chunk = max(1, _CHUNK_TERMS // max(3 * (2 * s + 1) * s, 1))
+    for lo in range(0, todo.size, chunk):
+        part = todo[lo : lo + chunk]
+        t[part], r[part], reg[part] = _scan_rows(rows[part], capacities[part], rho)
+    return t, r, reg
+
+
+@dataclass(frozen=True)
+class _RowLadders:
+    """:class:`_Ladder` of every row of an (m, s) demand array, without ``order``.
+
+    A stable row sort and sequential row cumsums give each row the sorted
+    demands, prefix, suffix of 1/d and t_hat that its single ladder holds,
+    bit for bit.  ``searchsorted`` becomes a per-row count of ds <= x.
+    """
+
+    ds: np.ndarray
+    prefix: np.ndarray
+    suf_inv: np.ndarray
+    caps: np.ndarray
+    t_hat: np.ndarray
+
+    @classmethod
+    def build(cls, rows: np.ndarray, caps: np.ndarray) -> _RowLadders:
+        """Ladders of rows whose caps lie below their sums."""
+        m, s = rows.shape
+        ds = np.take_along_axis(rows, np.argsort(rows, axis=1, kind="stable"), axis=1)
+        prefix = np.zeros((m, s + 1))
+        np.cumsum(ds, axis=1, out=prefix[:, 1:])
+        suf_inv = np.zeros((m, s + 1))
+        suf_inv[:, :s] = np.cumsum((1.0 / ds)[:, ::-1], axis=1)[:, ::-1]
+        # t_hat: allocation._zero_rate_bound's first segment holding its root
+        roots = (caps[:, None] - prefix[:, :-1]) / np.arange(s, 0, -1)
+        nonempty = ds > np.concatenate((np.zeros((m, 1)), ds[:, :-1]), axis=1)
+        hits = nonempty & (roots < ds)
+        last = s - 1 - np.argmax(nonempty[:, ::-1], axis=1)
+        k = np.where(hits.any(axis=1), np.argmax(hits, axis=1), last)
+        t_hat = (caps - prefix[np.arange(m), k]) / (s - k)
+        return cls(ds, prefix, suf_inv, caps, t_hat)
+
+    def take(self, rows: np.ndarray) -> _RowLadders:
+        return _RowLadders(self.ds[rows], self.prefix[rows], self.suf_inv[rows],
+                           self.caps[rows], self.t_hat[rows])
+
+    def fixed_points_at_zero(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_Ladder.fixed_point_at_zero` of every row: (k0, r0)."""
+        ds, (m, s) = self.ds, self.ds.shape
+        at = np.arange(m)
+        k = np.count_nonzero(ds <= 0.0, axis=1)
+        r = np.zeros(m)
+        done = np.zeros(m, dtype=bool)
+        for _ in range(s + 1):
+            h = s - k
+            rate = np.zeros(m)
+            np.divide(self.caps - self.prefix[at, k], h, out=rate, where=h > 0)
+            rate = np.maximum(rate, 0.0)
+            k2 = np.count_nonzero(ds <= rate[:, None], axis=1)
+            r = np.where(done, r, rate)
+            stop = k2 == k
+            k = np.where(done | stop, k, k2)
+            done |= stop
+            if done.all():
+                break
+        return k, r
+
+    def intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_intervals` of every row with t_hat > 0, flat: (row, a, b, k).
+
+        The kick thresholds are :func:`_kick_thresholds`'.  Each row's bounds
+        are sorted with unused slots last as inf; a kick-in shrinks the
+        suffix and a kick-out grows it, so the running count of events from
+        k0 is the suffix start, and merging equal bounds into the last of
+        their run counts every event at a bound, as searchsorted does.
+        """
+        ds, prefix, suf_inv, t_hat = self.ds, self.prefix, self.suf_inv, self.t_hat
+        m, s = ds.shape
+        c = self.caps[:, None]
+        k = np.count_nonzero(ds[:, None, :] <= ds[:, :, None], axis=2)
+        h = s - k
+        denom = h - ds * np.take_along_axis(suf_inv, k, axis=1)
+        good = (k < s) & (np.abs(denom) > 1e-12)
+        t_in = np.where(
+            good,
+            (c - np.take_along_axis(prefix, k, axis=1) - ds * h) / np.where(good, denom, 1.0),
+            -1.0,
+        )
+        good &= (t_in >= 0.0) & (t_in < np.minimum(t_hat[:, None], ds))
+        k0, r0 = self.fixed_points_at_zero()
+        out = (ds < t_hat[:, None]) & (good | (ds > r0[:, None]))
+
+        bounds = np.concatenate(
+            (np.zeros((m, 1)), np.where(good, t_in, math.inf), np.where(out, ds, math.inf),
+             t_hat[:, None]), axis=1)
+        step = np.zeros(bounds.shape, dtype=np.intp)
+        step[:, 1 : s + 1] -= good
+        step[:, s + 1 : 2 * s + 1] += out
+        order = np.argsort(bounds, axis=1)
+        bounds = np.take_along_axis(bounds, order, axis=1)
+        suffix = k0[:, None] + np.cumsum(np.take_along_axis(step, order, axis=1), axis=1)
+        keep = np.isfinite(bounds)
+        keep[:, :-1] &= bounds[:, :-1] != bounds[:, 1:]
+        row, col = np.nonzero(keep)
+        starts = np.flatnonzero(row[:-1] == row[1:])
+        b = bounds[row[starts], col[starts + 1]]
+        row, col = row[starts], col[starts]
+        return row, bounds[row, col], b, suffix[row, col]
+
+
+def _scan_rows(
+    rows: np.ndarray, caps: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_optimize_ladder`'s dense scan of rows whose caps lie below their sums.
+
+    Rows with t_hat <= 0 are planned T = r = 0.  The other rows' intervals
+    run flat, tagged by row, through the single scan's candidate and pick
+    code, with each candidate's dense regret summed over its own row.
+    """
+    m, s = rows.shape
+    lad = _RowLadders.build(rows, caps)
+    t, r, reg = np.zeros(m), np.zeros(m), np.zeros(m)
+    flat = np.flatnonzero(lad.t_hat <= 0)
+    if flat.size:  # T = r = 0 throttles everyone
+        zero = np.zeros(flat.size)
+        reg[flat] = _dense_regret(lad.ds[flat], zero.astype(np.intp), zero, zero, rho)
+    live = np.flatnonzero(lad.t_hat > 0)
+    if not live.size:
+        return t, r, reg
+    lad = lad.take(live)
+    row, a, b, k = lad.intervals()
+    open_ = s - k > 0
+    row, a, b, k = row[open_], a[open_], b[open_], k[open_]
+    ts, rs, interior = _candidates(
+        a, b, (s - k).astype(float), lad.caps[row] - lad.prefix[row, k], lad.suf_inv[row, k]
+    )
+    regs = _dense_regret(lad.ds[np.tile(row, 3)], np.tile(k, 3), ts.ravel(), rs.ravel(), rho)
+    t_best, r_best, reg_best, pick_loc = _pick(ts, rs, regs.reshape(3, -1), interior)
+
+    # per row: the first tied interval holding its root, else the first tied one
+    best = np.full(live.size, math.inf)
+    np.minimum.at(best, row, reg_best)
+    tied = reg_best <= best[row] + _TIE_TOL * (1.0 + np.abs(best[row]))
+    n_int = row.size
+    rank = np.where(tied & pick_loc, 0, np.where(tied, 1, 2)) * n_int + np.arange(n_int)
+    first = np.full(live.size, 3 * n_int)
+    np.minimum.at(first, row, rank)
+    i = first % n_int
+    t[live], r[live], reg[live] = t_best[i], r_best[i], reg_best[i]
     return t, r, reg
 
 

@@ -6,7 +6,9 @@ kappa * price_j plus the usual throttle regret, so cheap tiers attract
 low-demand users and the game resembles a leader/follower pricing game:
 
 * two tiers: exact Nash enumeration over all assignments plus a sweep over
-  capacity splits;
+  capacity splits.  Each split first plans every member subset at both
+  tiers' shares, one row batch per subset size, into a table keyed by the
+  members' bitmask; the enumeration then only reads plans;
 * many tiers: the operator's joint threshold problem (capacity used exactly,
   r_j = T_j) solved with SLSQP, alternated with sequential best responses
   by the users.  There is no fallback solver: an SLSQP failure raises
@@ -33,14 +35,15 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
+from itertools import chain, combinations, islice
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .allocation import Mode, Plan, _check_capacity, _zero_rate_bound
-from .download import _check_grid_size, optimize_demands
+from .download import _check_grid_size, _optimize_rows, optimize_demands
 from .errors import InfeasibleError, ThrottlePlanError, ValidationError
 from .population import DEFAULT_SEED, Population, assign_tiers_binomial
 from .regret import DEFAULT_RHO, RegretParams, _regret, tiered_aggregate_regret
@@ -48,6 +51,8 @@ from .regret import DEFAULT_RHO, RegretParams, _regret, tiered_aggregate_regret
 ENUMERATION_CAP = 20
 SWEEP_STEP = 0.01
 MAX_ITERS = 100
+#: Member subsets of one size planned together in one row batch.
+_SUBSET_BLOCK = 1 << 14
 
 # (ascending member indices, capacity share) -> the tier's download plan
 PlanFn = Callable[[tuple[int, ...], float], Plan]
@@ -175,8 +180,8 @@ def _download_plan(demands: np.ndarray, members: tuple[int, ...], share: float, 
     """The one path from a tier's members (ascending) and share to its plan.
 
     Empty tiers get the zero plan; a share covering the members' demand gets
-    the no-throttling convention T = r = share.  Only the two-tier
-    enumeration memoizes it (per split), where keys recur across assignments.
+    the no-throttling convention T = r = share.  The two-tier enumeration
+    reads the same plans off a :class:`_SubsetPlans` table instead.
     """
     if not members:
         return Plan(0.0, 0.0, Mode.DOWNLOAD)
@@ -331,17 +336,83 @@ def _check_two_tier(pop: Population, config: TierConfig) -> None:
         )
 
 
+class _SubsetPlans:
+    """:func:`_download_plan` of every member subset at both shares of a two-tier split.
+
+    A subset is the bitmask of its members; plan (t[j, mask], r[j, mask]) is
+    the subset's plan at share j.  Subsets of one size are solved together,
+    up to ``_SUBSET_BLOCK`` at a time, in one :func:`download._optimize_rows`
+    batch for both shares, after the covering rule on their member-order
+    sums.  Two float64 arrays of 2^n per share keep the table at 32 MB at
+    the enumeration cap.
+    """
+
+    def __init__(self, demands: np.ndarray, shares: tuple[float, float], rho: float):
+        n = demands.size
+        self.shares = shares
+        self.t = np.zeros((2, 1 << n))
+        self.r = np.zeros((2, 1 << n))
+        for size in range(1, n + 1):
+            subsets = combinations(range(n), size)
+            total = math.comb(n, size)
+            for start in range(0, total, _SUBSET_BLOCK):
+                count = min(_SUBSET_BLOCK, total - start)
+                members = np.fromiter(
+                    chain.from_iterable(islice(subsets, count)), dtype=np.intp, count=count * size
+                ).reshape(count, size)
+                self._solve(demands[members], np.sum(np.left_shift(1, members), axis=1), rho)
+
+    def _solve(self, rows: np.ndarray, masks: np.ndarray, rho: float) -> None:
+        """Plans the subsets ``masks``, of member-order demands ``rows``, at both shares."""
+        tier = np.repeat([0, 1], masks.size)
+        mask = np.tile(masks, 2)
+        caps = np.asarray(self.shares)[tier]
+        # a covered subset is planned T = r = share
+        covered = caps >= np.tile(rows.sum(axis=1), 2)
+        self.t[tier[covered], mask[covered]] = caps[covered]
+        self.r[tier[covered], mask[covered]] = caps[covered]
+        left = np.flatnonzero(~covered)
+        self.t[tier[left], mask[left]], self.r[tier[left], mask[left]], _ = _optimize_rows(
+            rows[left % masks.size], caps[left], rho)
+
+    def plan(self, tier: int, mask: int) -> Plan:
+        return Plan(float(self.t[tier, mask]), float(self.r[tier, mask]), Mode.DOWNLOAD)
+
+    def __call__(self, members: tuple[int, ...], share: float) -> Plan:
+        """The table as a :data:`PlanFn`."""
+        return self.plan(self.shares.index(share), sum(1 << i for i in members))
+
+
 def _nash_assignments(
-    pop: Population, config: TierConfig, params: RegretParams, plan: PlanFn
+    demands: list[float], config: TierConfig, params: RegretParams, table: _SubsetPlans
 ) -> list[Assignment]:
-    """Every Nash assignment of a two-tier game at the config's shares."""
-    n = len(pop)
-    demands = pop.demands.tolist()
+    """Every Nash assignment of a two-tier game at the config's shares.
+
+    Bit i of an assignment's index puts user i in the second tier.  Users are
+    checked in order, as :func:`_improving_moves` checks them with
+    ``first_only``, with the plans read off the table.
+    """
+    n = len(demands)
+    full = (1 << n) - 1
+    price_terms = [params.kappa * p for p in config.prices]
     found: list[Assignment] = []
     for bits in range(1 << n):
-        assignment = Assignment(tuple((bits >> i) & 1 for i in range(n)), 2)
-        if not _improving_moves(demands, config, assignment, params, plan, first_only=True):
-            found.append(assignment)
+        masks = (full & ~bits, bits)
+        plans: list[Plan | None] = [None, None]
+        for u in range(n):
+            a = (bits >> u) & 1
+            b = 1 - a
+            if plans[a] is None:
+                plans[a] = table.plan(a, masks[a])
+            cur = price_terms[a] + _regret(demands[u], 1.0, plans[a], params)
+            if price_terms[b] >= cur:
+                continue
+            dev = price_terms[b] + _regret(
+                demands[u], 1.0, table.plan(b, masks[b] | 1 << u), params)
+            if dev < cur:
+                break
+        else:
+            found.append(Assignment(tuple((bits >> i) & 1 for i in range(n)), 2))
     return found
 
 
@@ -366,8 +437,9 @@ def enumerate_equilibria(
     if not (0.0 <= split <= 1.0):
         raise ValidationError(f"split must be in [0, 1], got {split}")
     params = _game_params(config, params)
-    plan = cache(partial(_download_plan, pop.demands, rho=params.rho))
-    found = _nash_assignments(pop, _split_config(config, split), params, plan)
+    cfg = _split_config(config, split)
+    table = _SubsetPlans(pop.demands, cfg.capacity_shares, params.rho)
+    found = _nash_assignments(pop.demands.tolist(), cfg, params, table)
     return [a.class_id for a in found]
 
 
@@ -391,15 +463,16 @@ def sweep_splits(
     splits = [min(i * step, 1.0) for i in range(n_steps + 1)]
     if splits[-1] < 1.0 - 1e-12:
         splits.append(1.0)
+    demands = pop.demands.tolist()
     points: list[SweepPoint] = []
     for split in splits:
         cfg = _split_config(config, split)
-        # the enumeration and the regret statistics share one memo per split
-        plan = cache(partial(_download_plan, pop.demands, rho=params.rho))
+        # the enumeration and the regret statistics share one table per split
+        table = _SubsetPlans(pop.demands, cfg.capacity_shares, params.rho)
         pairs = tuple(
-            (a.class_id, _total_regret(pop, plan, a.members(), cfg.capacity_shares,
+            (a.class_id, _total_regret(pop, table, a.members(), cfg.capacity_shares,
                                        cfg.prices, params))
-            for a in _nash_assignments(pop, cfg, params, plan)
+            for a in _nash_assignments(demands, cfg, params, table)
         )
         regs = [r for _, r in pairs]
         points.append(

@@ -43,6 +43,35 @@ def test_diurnal_activity_validation():
         diurnal_activity(0.5, 24)
 
 
+@pytest.mark.parametrize("hpd", [2, 12, 24, 25, 48])
+def test_diurnal_profile_averages_to_x_over_any_day(hpd):
+    x = np.array([[0.05], [0.5], [0.9], [1.0]])
+    profile = diurnal_activity(x, np.arange(hpd), hpd)
+    assert np.all((0.0 <= profile) & (profile <= 1.0))
+    assert profile.mean(axis=1) == pytest.approx(x[:, 0], abs=1e-15)
+    with pytest.raises(ValidationError, match=f"0..{hpd - 1}"):
+        diurnal_activity(0.5, hpd, hpd)
+
+
+def test_diurnal_profile_at_24_hours_is_the_default():
+    hours = np.arange(24)
+    assert diurnal_activity(0.3, hours, 24).tobytes() == diurnal_activity(0.3, hours).tobytes()
+
+
+def test_diurnal_simulation_runs_on_a_long_day():
+    pop = Population([UserProfile(0, 1.0, 0.5), UserProfile(1, 0.4, 0.9)])
+    config = SimConfig(Plan(0.3, 0.1, Mode.STREAMING), horizon_days=3, days_per_cycle=2,
+                       hours_per_day=25, diurnal=True, seed=2)
+    assert simulate(pop, config).hourly_total.shape == (75,)
+
+
+def test_config_rejects_a_diurnal_one_hour_day():
+    plan = Plan(0.3, 0.1, Mode.DOWNLOAD)
+    with pytest.raises(ValidationError, match="at least 2 hours per day"):
+        SimConfig(plan, hours_per_day=1, diurnal=True)
+    SimConfig(plan, hours_per_day=1)
+
+
 def test_config_validation():
     plan = Plan(0.3, 0.1, Mode.DOWNLOAD)
     with pytest.raises(ValidationError, match="at least one 30-day cycle"):
@@ -199,10 +228,7 @@ def _staggering_ratio(n: int, seed: int) -> float:
     pop = generate_codec_uniform(n, rates, seed=seed)
     plan = Plan(0.3, 0.1, Mode.STREAMING)
     throttled = simulate(pop, SimConfig(plan, horizon_days=60, diurnal=True, seed=seed))
-    baseline = simulate(
-        pop, SimConfig(Plan.no_throttling(Mode.STREAMING), horizon_days=60, diurnal=True, seed=seed)
-    )
-    return variability_ratio(throttled, baseline)
+    return variability_ratio(throttled, throttled.unthrottled)
 
 
 def test_staggered_cycles_smooth_out_with_scale():

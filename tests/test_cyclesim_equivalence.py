@@ -28,10 +28,10 @@ from throttleplan.allocation import _download_activity
 from throttleplan.cyclesim import CHUNK_USERS
 
 
-def _profile(x, hods, diurnal):
-    if not diurnal:
+def _profile(x, hods, config):
+    if not config.diurnal:
         return np.full(hods.size, x)
-    return np.asarray(diurnal_activity(x, hods), dtype=float)
+    return np.asarray(diurnal_activity(x, hods, config.hours_per_day), dtype=float)
 
 
 def _loop_simulate(pop, config):
@@ -55,7 +55,7 @@ def _loop_simulate(pop, config):
         span = burn + hours
         uniforms = rng.random(span)
         hods = (np.arange(span) - burn) % config.hours_per_day
-        x_prob = _profile(activity, hods, config.diurnal)
+        x_prob = _profile(activity, hods, config)
 
         if not plan.throttles:
             active = uniforms < x_prob
@@ -64,7 +64,7 @@ def _loop_simulate(pop, config):
         else:
             slow = min(rate, plan.rate)
             if plan.mode is Mode.DOWNLOAD:
-                y_prob = _profile(_download_activity(demand, slow), hods, config.diurnal)
+                y_prob = _profile(_download_activity(demand, slow), hods, config)
             else:
                 y_prob = x_prob
             consume = np.empty(span)
@@ -152,7 +152,7 @@ def test_chunked_simulator_matches_loop(pop, config):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(populations(), st.integers(1, 4), st.integers(2, 24), st.integers(0, 100))
+@given(populations(), st.integers(1, 4), st.integers(2, 48), st.integers(0, 100))
 def test_chunked_simulator_matches_loop_on_other_calendars(pop, days, hpd, seed):
     plan = Plan(0.05, 0.1, Mode.STREAMING)
     config = SimConfig(plan, horizon_days=2 * days + 1, seed=seed, days_per_cycle=days,

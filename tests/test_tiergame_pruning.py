@@ -30,6 +30,7 @@ from throttleplan import (
     check_equilibrium,
     enumerate_equilibria,
     generate_lognormal,
+    sweep_splits,
     solve_multi_tier,
     stackelberg_iterate,
     tiergame,
@@ -40,6 +41,7 @@ from throttleplan.population import assign_tiers_binomial
 from throttleplan.regret import _regret
 from throttleplan.tiergame import (
     EquilibriumReport,
+    SweepPoint,
     _download_plan,
     _join_floor,
     _move_regret,
@@ -231,6 +233,78 @@ def test_enumeration_matches_eager_reference():
             if not _reference_moves(demands, cfg, a, params, plan, first_only=True)
         ]
         assert enumerate_equilibria(pop, config, split) == want
+
+
+def _lazy_nash(pop, cfg, params, plan):
+    """The enumeration as it was: each assignment built and checked by ``_improving_moves``."""
+    n = len(pop)
+    demands = pop.demands.tolist()
+    assignments = (Assignment(tuple((bits >> i) & 1 for i in range(n)), 2) for bits in range(1 << n))
+    return [
+        a for a in assignments
+        if not tiergame._improving_moves(demands, cfg, a, params, plan, first_only=True)
+    ]
+
+
+def _lazy_sweep(pop, config, step):
+    """``sweep_splits`` solving each (members, share) key once, on demand, through a memo."""
+    params = tiergame._game_params(config, None)
+    n_steps = int(math.floor(1.0 / step + 1e-9))
+    splits = [min(i * step, 1.0) for i in range(n_steps + 1)]
+    if splits[-1] < 1.0 - 1e-12:
+        splits.append(1.0)
+    points = []
+    for split in splits:
+        cfg = tiergame._split_config(config, split)
+        plan = cache(partial(_download_plan, pop.demands, rho=params.rho))
+        pairs = tuple(
+            (a.class_id, _total_regret(pop, plan, a.members(), cfg.capacity_shares,
+                                       cfg.prices, params))
+            for a in _lazy_nash(pop, cfg, params, plan)
+        )
+        regs = [r for _, r in pairs]
+        points.append(SweepPoint(
+            split, pairs,
+            min(regs) if regs else None,
+            (sum(regs) / len(regs)) if regs else None,
+            max(regs) if regs else None,
+        ))
+    return points
+
+
+def _tied_population(rng, n):
+    """Codec rates times percent activities, so demands often tie."""
+    rates = rng.choice([0.2, 0.4, 0.8, 1.5, 3.0], n)
+    activities = rng.integers(1, 101, n) / 100
+    return Population(
+        [UserProfile(i, float(r), float(x)) for i, (r, x) in enumerate(zip(rates, activities))]
+    )
+
+
+@pytest.mark.parametrize("block", range(len(KAPPAS)))
+def test_subset_table_matches_the_lazy_path(block):
+    """Sizes 1-10 spread over the blocks, every kappa, splits 0 and 1 included."""
+    rng = np.random.default_rng(7400 + block)
+    kappa = KAPPAS[block]
+    found = 0
+    for n in range(1 + block, 11, len(KAPPAS)):
+        for make in (_tied_population, _random_population):
+            pop = make(rng, n)
+            prices = tuple(np.cumsum(rng.uniform(0.1, 0.6, 2)).tolist())
+            capacity = float(rng.uniform(0.3, 0.99)) * pop.total_demand
+            config = TierConfig(prices, kappa, (capacity, 0.0))
+            step = float(rng.choice([0.25, 0.5]))
+            got, want = sweep_splits(pop, config, step), _lazy_sweep(pop, config, step)
+            assert repr(got) == repr(want), (n, prices, capacity, kappa)
+            assert got[0].split == 0.0 and got[-1].split == 1.0
+            found += sum(len(p.equilibria) for p in got)
+            split = float(rng.uniform())
+            cfg = tiergame._split_config(config, split)
+            params = tiergame._game_params(config, None)
+            plan = cache(partial(_download_plan, pop.demands, rho=params.rho))
+            ids = [a.class_id for a in _lazy_nash(pop, cfg, params, plan)]
+            assert enumerate_equilibria(pop, config, split) == ids
+    assert found > 0
 
 
 DEMANDS = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 3.0]), st.floats(1e-2, 1e2))
