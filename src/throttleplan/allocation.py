@@ -176,33 +176,55 @@ def _suffix_sums(v: np.ndarray) -> np.ndarray:
     return np.cumsum(v[::-1])[::-1]
 
 
-def _tight_segment(breaks: np.ndarray, a: np.ndarray, b: np.ndarray, capacity: float) -> int:
-    """Segment on which a piecewise-linear consumption curve meets capacity.
+def _tight_segments(
+    breaks: np.ndarray, a: np.ndarray, b: np.ndarray, capacity: np.ndarray
+) -> np.ndarray:
+    """Segment on which each row's piecewise-linear consumption curve meets capacity.
 
-    ``breaks`` are sorted and positive; segment k is [breaks[k-1], breaks[k])
-    (from 0 for k = 0), where consumption is a[k] + b[k] * u.  Every
-    segment's root is solved at once.  Consumption rises with u, so the
-    roots of earlier segments lie at or past their right ends: the answer is
-    the first segment whose root does not, or the last non-empty one if
-    rounding leaves none.  Empty segments (tied breaks) are never returned:
-    an empty top segment would leave nobody throttled, and the entries from
-    the returned k on share no value with those before it.
+    ``breaks`` is (m, s), each row sorted and positive; a row's segment k is
+    [breaks[k-1], breaks[k]) (from 0 for k = 0), where its consumption is
+    a[k] + b[k] * u.  ``a`` and ``b`` broadcast against ``breaks`` and
+    ``capacity`` is (m,).  Every segment's root is solved at once.
+    Consumption rises with u, so the roots of earlier segments lie at or
+    past their right ends: the answer is the first segment whose root does
+    not, or the last non-empty one if rounding leaves none.  Empty segments
+    (tied breaks) are never returned: an empty top segment would leave
+    nobody throttled, and the entries from the returned k on share no value
+    with those before it.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # b == 0 only after rounding
-        roots = (capacity - a) / b
-    nonempty = breaks > np.concatenate(([0.0], breaks[:-1]))
-    hits = np.flatnonzero(nonempty & (roots < breaks))
-    return int(hits[0]) if hits.size else int(np.flatnonzero(nonempty)[-1])
+        roots = (capacity[:, None] - a) / b
+    nonempty = np.empty(breaks.shape, dtype=bool)
+    np.greater(breaks[:, :1], 0.0, out=nonempty[:, :1])
+    np.greater(breaks[:, 1:], breaks[:, :-1], out=nonempty[:, 1:])
+    hits = nonempty & (roots < breaks)
+    k = hits.argmax(axis=1)
+    found = hits[np.arange(k.size), k]
+    if not found.all():
+        missed = ~found
+        k[missed] = breaks.shape[1] - 1 - nonempty[missed, ::-1].argmax(axis=1)
+    return k
+
+
+def _tight_segment(breaks: np.ndarray, a: np.ndarray, b: np.ndarray, capacity: float) -> int:
+    """:func:`_tight_segments` of one curve."""
+    return int(_tight_segments(breaks[None], a, b, np.array([capacity]))[0])
+
+
+def _zero_rate_bounds(ds: np.ndarray, prefix: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """Threshold meeting capacity at rate 0 over each row of sorted demands ds (m, s).
+
+    ``prefix`` holds each row's s + 1 running sums; each capacity must be
+    below its row's sum.
+    """
+    m, s = ds.shape
+    k = _tight_segments(ds, prefix[:, :-1], np.arange(s, 0, -1), capacity)
+    return (capacity - prefix[np.arange(m), k]) / (s - k)
 
 
 def _zero_rate_bound(ds: np.ndarray, prefix: np.ndarray, capacity: float) -> float:
-    """Threshold meeting capacity at rate 0 over sorted demands ds.
-
-    ``prefix`` holds the n + 1 running sums of ds; capacity must be below ds.sum().
-    """
-    n = ds.size
-    k = _tight_segment(ds, prefix[:-1], np.arange(n, 0, -1), capacity)
-    return float((capacity - prefix[k]) / (n - k))
+    """:func:`_zero_rate_bounds` of one row of n demands, with its n + 1 running sums."""
+    return float(_zero_rate_bounds(ds[None], prefix[None], np.array([capacity]))[0])
 
 
 def max_threshold(pop: Population, capacity: float, mode: Mode = Mode.DOWNLOAD) -> ThresholdBound:

@@ -30,23 +30,26 @@ Many small solves at once, as the two-tier enumeration makes, go through a
 row-batched dense scan (:func:`_optimize_rows`).  Each row of an (m, s)
 demand array gets its own ladder from a stable row sort and sequential row
 sums, searchsorted becomes a per-row count, and the interval bounds a row
-sort with equal neighbours merged.  The intervals of all rows then run
-flat, tagged by row, through the same candidate and pick code as the single
-scan, and each row keeps its first rooted, else first tied, interval, so
-every row gets bit for bit what :func:`optimize_demands` gives it.  Single
-solves stay on the single scan: one row costs the batch about twice as much.
+sort with equal neighbours merged.  Both scans share the rest: t_hat from
+the row-wise segment rule of :mod:`allocation`, the fixed point at T = 0,
+the kick formulas and filters, and the candidate and pick code.  The
+intervals of all rows run flat, tagged by row, and each row keeps its first
+rooted, else first tied, interval, so every row gets bit for bit what
+:func:`optimize_demands` gives it.  Single solves stay on the single scan:
+one row costs the batch about twice as much.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .allocation import Mode, Plan, _check_capacity, _zero_rate_bound
+from .allocation import Mode, Plan, _check_capacity, _zero_rate_bound, _zero_rate_bounds
 from .errors import ValidationError
 from .population import Population
 from .regret import RegretParams
@@ -200,16 +203,8 @@ class _Ladder:
         return k, r
 
     def fixed_point_at_zero(self) -> tuple[int, float]:
-        """:meth:`fixed_point_vec` at the single threshold T = 0, in scalar arithmetic."""
-        k = int(np.searchsorted(self.ds, 0.0, side="right"))
-        for _ in range(self.n + 1):
-            h = self.n - k
-            r = max(float(self.capacity - self.prefix[k]) / h, 0.0) if h > 0 else 0.0
-            k2 = int(np.searchsorted(self.ds, r, side="right"))
-            if k2 == k:
-                break
-            k = k2
-        return k, r
+        """:meth:`fixed_point_vec` at the single threshold T = 0: (k0, r0)."""
+        return _fixed_point_at_zero(self.ds, self.prefix, self.capacity)
 
     def rate_vec(self, k: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Capacity-tight rates for (suffix, threshold) pairs, clamped at 0."""
@@ -303,6 +298,54 @@ class _Ladder:
         return est, np.where(clipped, math.inf, err)
 
 
+def _fixed_point_at_zero(
+    ds: Sequence[float], prefix: Sequence[float], capacity: float
+) -> tuple[int, float]:
+    """Capacity-tight fixed point at T = 0 over sorted demands: (k0, r0).
+
+    ``prefix`` holds the running sums of ``ds``.  k0 is the suffix start of
+    the throttled set and r0 its rate.  It runs in scalar arithmetic on one
+    row: the single scan passes its arrays, the row scan each row's lists.
+    """
+    n = len(ds)
+    k = bisect_right(ds, 0.0)
+    for _ in range(n + 1):
+        h = n - k
+        r = max(float(capacity - prefix[k]) / h, 0.0) if h > 0 else 0.0
+        k2 = bisect_right(ds, r)
+        if k2 == k:
+            break
+        k = k2
+    return k, r
+
+
+def _kick_masks(
+    ds: np.ndarray, k: np.ndarray, prefix_k: np.ndarray, suf_inv_k: np.ndarray,
+    cap: np.ndarray | float, t_hat: np.ndarray | float, r0: np.ndarray | float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kick thresholds over sorted demands ds: (t_in, good, out).
+
+    ``k`` counts each row's demands at or below d_i, ``prefix_k`` and
+    ``suf_inv_k`` are the row sums read at k, and ``cap``, ``t_hat`` and
+    ``r0`` (the rate at T = 0) broadcast against ds, so one row or many go
+    through the same arithmetic.  ``good`` marks the kick-ins, at t_in, and
+    ``out`` the kick-outs, at d_i; both lie in [0, t_hat).
+    """
+    s = ds.shape[-1]
+    # kick-ins: r(T) falls to d_i while T is still below d_i
+    h = s - k
+    denom = h - ds * suf_inv_k
+    good = (k < s) & (np.abs(denom) > 1e-12)
+    t_in = np.where(good, (cap - prefix_k - ds * h) / np.where(good, denom, 1.0), -1.0)
+    good &= (t_in >= 0.0) & (t_in < np.minimum(t_hat, ds))
+    # kick-outs: T grows past d_i.  Only users who were actually throttled on
+    # the way up leave the set: those kicked in earlier, or throttled from
+    # T = 0.  Without this filter a d_i below the running rate would emit a
+    # phantom event, splitting a constant-membership interval in two.
+    out = (ds < t_hat) & (good | (ds > r0))
+    return t_in, good, out
+
+
 def _kick_thresholds(
     lad: _Ladder,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
@@ -310,21 +353,11 @@ def _kick_thresholds(
 
     k0 is the suffix start of the throttled set at T = 0.
     """
-    ds, n = lad.ds, lad.n
-    # kick-ins: r(T) falls to d_i while T is still below d_i
+    ds = lad.ds
     k = np.searchsorted(ds, ds, side="right")
-    h = n - k
-    denom = h - ds * lad.suf_inv[k]
-    good = (k < n) & (np.abs(denom) > 1e-12)
-    t_in = np.where(good, (lad.capacity - lad.prefix[k] - ds * h) / np.where(good, denom, 1.0), -1.0)
-    good &= (t_in >= 0.0) & (t_in < np.minimum(lad.t_hat, ds))
-    # kick-outs: T grows past d_i.  Only users who were actually throttled on
-    # the way up leave the set: those kicked in earlier, or throttled from
-    # T = 0.  Without this filter a d_i below the running rate would emit a
-    # phantom event, splitting a constant-membership interval in two.
     k0, r0 = lad.fixed_point_at_zero()
-    out = (ds < lad.t_hat) & (good | (ds > r0))
-    idx = np.arange(n)
+    t_in, good, out = _kick_masks(ds, k, lad.prefix[k], lad.suf_inv[k], lad.capacity, lad.t_hat, r0)
+    idx = np.arange(lad.n)
     return t_in[good], idx[good], ds[out], idx[out], k0
 
 
@@ -523,14 +556,7 @@ class _RowLadders:
         np.cumsum(ds, axis=1, out=prefix[:, 1:])
         suf_inv = np.zeros((m, s + 1))
         suf_inv[:, :s] = np.cumsum((1.0 / ds)[:, ::-1], axis=1)[:, ::-1]
-        # t_hat: allocation._zero_rate_bound's first segment holding its root
-        roots = (caps[:, None] - prefix[:, :-1]) / np.arange(s, 0, -1)
-        nonempty = ds > np.concatenate((np.zeros((m, 1)), ds[:, :-1]), axis=1)
-        hits = nonempty & (roots < ds)
-        last = s - 1 - np.argmax(nonempty[:, ::-1], axis=1)
-        k = np.where(hits.any(axis=1), np.argmax(hits, axis=1), last)
-        t_hat = (caps - prefix[np.arange(m), k]) / (s - k)
-        return cls(ds, prefix, suf_inv, caps, t_hat)
+        return cls(ds, prefix, suf_inv, caps, _zero_rate_bounds(ds, prefix, caps))
 
     def take(self, rows: np.ndarray) -> _RowLadders:
         return _RowLadders(self.ds[rows], self.prefix[rows], self.suf_inv[rows],
@@ -538,49 +564,31 @@ class _RowLadders:
 
     def fixed_points_at_zero(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_Ladder.fixed_point_at_zero` of every row: (k0, r0)."""
-        ds, (m, s) = self.ds, self.ds.shape
-        at = np.arange(m)
-        k = np.count_nonzero(ds <= 0.0, axis=1)
-        r = np.zeros(m)
-        done = np.zeros(m, dtype=bool)
-        for _ in range(s + 1):
-            h = s - k
-            rate = np.zeros(m)
-            np.divide(self.caps - self.prefix[at, k], h, out=rate, where=h > 0)
-            rate = np.maximum(rate, 0.0)
-            k2 = np.count_nonzero(ds <= rate[:, None], axis=1)
-            r = np.where(done, r, rate)
-            stop = k2 == k
-            k = np.where(done | stop, k, k2)
-            done |= stop
-            if done.all():
-                break
+        k, r = np.zeros(self.caps.size, dtype=np.intp), np.zeros(self.caps.size)
+        rows = zip(self.ds.tolist(), self.prefix.tolist(), self.caps.tolist())
+        for i, row in enumerate(rows):
+            k[i], r[i] = _fixed_point_at_zero(*row)
         return k, r
 
     def intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:func:`_intervals` of every row with t_hat > 0, flat: (row, a, b, k).
 
-        The kick thresholds are :func:`_kick_thresholds`'.  Each row's bounds
-        are sorted with unused slots last as inf; a kick-in shrinks the
-        suffix and a kick-out grows it, so the running count of events from
-        k0 is the suffix start, and merging equal bounds into the last of
-        their run counts every event at a bound, as searchsorted does.
+        The kick thresholds are :func:`_kick_masks`', with searchsorted a
+        per-row count.  Each row's bounds are sorted with unused slots last
+        as inf; a kick-in shrinks the suffix and a kick-out grows it, so the
+        running count of events from k0 is the suffix start, and merging
+        equal bounds into the last of their run counts every event at a
+        bound, as searchsorted does.
         """
-        ds, prefix, suf_inv, t_hat = self.ds, self.prefix, self.suf_inv, self.t_hat
+        ds, t_hat = self.ds, self.t_hat
         m, s = ds.shape
-        c = self.caps[:, None]
         k = np.count_nonzero(ds[:, None, :] <= ds[:, :, None], axis=2)
-        h = s - k
-        denom = h - ds * np.take_along_axis(suf_inv, k, axis=1)
-        good = (k < s) & (np.abs(denom) > 1e-12)
-        t_in = np.where(
-            good,
-            (c - np.take_along_axis(prefix, k, axis=1) - ds * h) / np.where(good, denom, 1.0),
-            -1.0,
-        )
-        good &= (t_in >= 0.0) & (t_in < np.minimum(t_hat[:, None], ds))
         k0, r0 = self.fixed_points_at_zero()
-        out = (ds < t_hat[:, None]) & (good | (ds > r0[:, None]))
+        t_in, good, out = _kick_masks(
+            ds, k, np.take_along_axis(self.prefix, k, axis=1),
+            np.take_along_axis(self.suf_inv, k, axis=1),
+            self.caps[:, None], t_hat[:, None], r0[:, None],
+        )
 
         bounds = np.concatenate(
             (np.zeros((m, 1)), np.where(good, t_in, math.inf), np.where(out, ds, math.inf),

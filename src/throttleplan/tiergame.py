@@ -35,7 +35,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import chain, combinations, islice
 from typing import Callable, Sequence
 
@@ -54,8 +53,8 @@ MAX_ITERS = 100
 #: Member subsets of one size planned together in one row batch.
 _SUBSET_BLOCK = 1 << 14
 
-# (ascending member indices, capacity share) -> the tier's download plan
-PlanFn = Callable[[tuple[int, ...], float], Plan]
+# (tier index, its ascending member indices) -> the tier's download plan at its share
+PlanFn = Callable[[int, tuple[int, ...]], Plan]
 
 
 @dataclass(frozen=True)
@@ -192,15 +191,21 @@ def _download_plan(demands: np.ndarray, members: tuple[int, ...], share: float, 
     return Plan(t, r, Mode.DOWNLOAD)
 
 
+def _share_plans(demands: np.ndarray, shares: Sequence[float], rho: float) -> PlanFn:
+    """The :data:`PlanFn` of tiers at these shares: each call solves its plan."""
+    return lambda tier, members: _download_plan(demands, members, shares[tier], rho)
+
+
 def _move_regret(
     demand: float, plan: PlanFn, target: Sequence[int], user: int,
-    share: float, price: float, params: RegretParams,
+    tier: int, price: float, params: RegretParams,
 ) -> tuple[float, Plan]:
-    """(regret, re-planned target) of ``user``, of this demand, joining tier ``target``.
+    """(regret, re-planned target) of ``user``, of this demand, joining ``tier``.
 
-    The target keeps its share.  A download user's regret reads only the
-    demand: it passes as a rate at activity 1."""
-    target_plan = plan(tuple(sorted((*target, user))), share)
+    ``target`` holds the tier's members before the join; the tier keeps its
+    share.  A download user's regret reads only the demand: it passes as a
+    rate at activity 1."""
+    target_plan = plan(tier, tuple(sorted((*target, user))))
     return params.kappa * price + _regret(demand, 1.0, target_plan, params), target_plan
 
 
@@ -236,10 +241,10 @@ def _join_floor(price_term: float, t_hat: float, demand: float, exponent: float)
 
 def _total_regret(
     pop: Population, plan: PlanFn, members: list[tuple[int, ...]],
-    shares: Sequence[float], prices: Sequence[float], params: RegretParams,
+    prices: Sequence[float], params: RegretParams,
 ) -> float:
     """Regret over all tiers, each planned at its share, price terms included."""
-    plans = [plan(m, share) for m, share in zip(members, shares)]
+    plans = [plan(j, m) for j, m in enumerate(members)]
     return tiered_aggregate_regret(pop, members, plans, list(prices), params)
 
 
@@ -263,10 +268,10 @@ def deviation_regret(
         raise ValidationError("target tier equals the user's current tier")
     if not (0 <= target_tier < config.n_tiers):
         raise ValidationError(f"no such tier {target_tier}")
-    plan = partial(_download_plan, pop.demands, rho=params.rho)
+    plan = _share_plans(pop.demands, config.capacity_shares, params.rho)
     regret, _ = _move_regret(
         float(pop.demands[user]), plan, assignment.members()[target_tier], user,
-        config.capacity_shares[target_tier], config.prices[target_tier], params,
+        target_tier, config.prices[target_tier], params,
     )
     return regret
 
@@ -287,19 +292,19 @@ def _improving_moves(
     better (see the module docstring).
     """
     members = assignment.members()
-    shares, prices = config.capacity_shares, config.prices
+    prices = config.prices
     price_terms = [params.kappa * p for p in prices]
     plans: list[Plan | None] = [None] * config.n_tiers
     out: list[tuple[int, int, float]] = []
     for u in range(len(demands)):
         a = assignment.tier_of[u]
         if plans[a] is None:
-            plans[a] = plan(members[a], shares[a])
+            plans[a] = plan(a, members[a])
         cur = price_terms[a] + _regret(demands[u], 1.0, plans[a], params)
         for b in range(config.n_tiers):
             if b == a or price_terms[b] >= cur:
                 continue
-            dev, _ = _move_regret(demands[u], plan, members[b], u, shares[b], prices[b], params)
+            dev, _ = _move_regret(demands[u], plan, members[b], u, b, prices[b], params)
             if dev < cur:
                 out.append((u, b, cur - dev))
                 if first_only:
@@ -321,7 +326,7 @@ def check_equilibrium(
     params = _game_params(config, params)
     if len(assignment.tier_of) != len(pop):
         raise ValidationError("assignment size must match population")
-    plan = partial(_download_plan, pop.demands, rho=params.rho)
+    plan = _share_plans(pop.demands, config.capacity_shares, params.rho)
     improving = _improving_moves(pop.demands.tolist(), config, assignment, params, plan)
     return (not improving, improving)
 
@@ -340,11 +345,12 @@ class _SubsetPlans:
     """:func:`_download_plan` of every member subset at both shares of a two-tier split.
 
     A subset is the bitmask of its members; plan (t[j, mask], r[j, mask]) is
-    the subset's plan at share j.  Subsets of one size are solved together,
-    up to ``_SUBSET_BLOCK`` at a time, in one :func:`download._optimize_rows`
-    batch for both shares, after the covering rule on their member-order
-    sums.  Two float64 arrays of 2^n per share keep the table at 32 MB at
-    the enumeration cap.
+    the subset's plan at tier j's share.  Subsets of one size are solved
+    together, up to ``_SUBSET_BLOCK`` at a time, in one
+    :func:`download._optimize_rows` batch for both shares, after the
+    covering rule on their member-order sums.  Two float64 arrays of 2^n
+    per share keep the table at 32 MB at the enumeration cap.  Called with
+    a tier and its members, the table is the split's :data:`PlanFn`.
     """
 
     def __init__(self, demands: np.ndarray, shares: tuple[float, float], rho: float):
@@ -375,44 +381,24 @@ class _SubsetPlans:
         self.t[tier[left], mask[left]], self.r[tier[left], mask[left]], _ = _optimize_rows(
             rows[left % masks.size], caps[left], rho)
 
-    def plan(self, tier: int, mask: int) -> Plan:
+    def __call__(self, tier: int, members: tuple[int, ...]) -> Plan:
+        mask = sum(1 << i for i in members)
         return Plan(float(self.t[tier, mask]), float(self.r[tier, mask]), Mode.DOWNLOAD)
-
-    def __call__(self, members: tuple[int, ...], share: float) -> Plan:
-        """The table as a :data:`PlanFn`."""
-        return self.plan(self.shares.index(share), sum(1 << i for i in members))
 
 
 def _nash_assignments(
-    demands: list[float], config: TierConfig, params: RegretParams, table: _SubsetPlans
+    demands: list[float], config: TierConfig, params: RegretParams, plan: PlanFn
 ) -> list[Assignment]:
     """Every Nash assignment of a two-tier game at the config's shares.
 
-    Bit i of an assignment's index puts user i in the second tier.  Users are
-    checked in order, as :func:`_improving_moves` checks them with
-    ``first_only``, with the plans read off the table.
+    Bit i of an assignment's index puts user i in the second tier.
     """
     n = len(demands)
-    full = (1 << n) - 1
-    price_terms = [params.kappa * p for p in config.prices]
     found: list[Assignment] = []
     for bits in range(1 << n):
-        masks = (full & ~bits, bits)
-        plans: list[Plan | None] = [None, None]
-        for u in range(n):
-            a = (bits >> u) & 1
-            b = 1 - a
-            if plans[a] is None:
-                plans[a] = table.plan(a, masks[a])
-            cur = price_terms[a] + _regret(demands[u], 1.0, plans[a], params)
-            if price_terms[b] >= cur:
-                continue
-            dev = price_terms[b] + _regret(
-                demands[u], 1.0, table.plan(b, masks[b] | 1 << u), params)
-            if dev < cur:
-                break
-        else:
-            found.append(Assignment(tuple((bits >> i) & 1 for i in range(n)), 2))
+        assignment = Assignment(tuple((bits >> i) & 1 for i in range(n)), 2)
+        if not _improving_moves(demands, config, assignment, params, plan, first_only=True):
+            found.append(assignment)
     return found
 
 
@@ -470,8 +456,7 @@ def sweep_splits(
         # the enumeration and the regret statistics share one table per split
         table = _SubsetPlans(pop.demands, cfg.capacity_shares, params.rho)
         pairs = tuple(
-            (a.class_id, _total_regret(pop, table, a.members(), cfg.capacity_shares,
-                                       cfg.prices, params))
+            (a.class_id, _total_regret(pop, table, a.members(), cfg.prices, params))
             for a in _nash_assignments(demands, cfg, params, table)
         )
         regs = [r for _, r in pairs]
@@ -648,8 +633,6 @@ def stackelberg_iterate(
     if max_iters == 0:
         return EquilibriumReport(False, 0, assignment, (), math.nan, ())
 
-    # no memo: fewer than 3% of the (members, share) keys repeat here
-    plan = partial(_download_plan, pop.demands, rho=params.rho)
     demands = pop.demands.tolist()
     price_terms = [params.kappa * p for p in prices]
     exponent = params.rho + params.tau
@@ -669,6 +652,8 @@ def stackelberg_iterate(
             _tier_consumption(d, float(t)) for d, t in zip(tier_demands, ts)
         )
         plans = tuple(Plan(float(t), float(t), Mode.DOWNLOAD) for t in ts)
+        # no memo: fewer than 3% of the (members, share) keys repeat here
+        plan = _share_plans(pop.demands, shares, params.rho)
 
         moves = 0
         tiers = list(assignment.tier_of)
@@ -685,14 +670,13 @@ def stackelberg_iterate(
             for b in range(k):
                 if b == a or _join_floor(price_terms[b], t_hats[b], d_u, exponent) >= best_dev:
                     continue
-                dev, plan_b = _move_regret(
-                    d_u, plan, member_lists[b], u, shares[b], prices[b], params)
+                dev, plan_b = _move_regret(d_u, plan, member_lists[b], u, b, prices[b], params)
                 if dev < best_dev:
                     best_dev, best_b, best_plan = dev, b, plan_b
             if best_b is not None:
                 member_lists[a].remove(u)
                 bisect.insort(member_lists[best_b], u)
-                cur_plans[a] = plan(tuple(member_lists[a]), shares[a])
+                cur_plans[a] = plan(a, tuple(member_lists[a]))
                 cur_plans[best_b] = best_plan
                 for j in (a, best_b):
                     t_hats[j] = _zero_rate_threshold(pop.demands, member_lists[j], shares[j])
@@ -712,5 +696,5 @@ def stackelberg_iterate(
                 break  # deterministic dynamics revisiting a state: a cycle
             seen.add(assignment.tier_of)
 
-    regret = _total_regret(pop, plan, members, shares, prices, params)
+    regret = _total_regret(pop, plan, members, prices, params)
     return EquilibriumReport(converged, iterations, assignment, plans, regret, shares)

@@ -49,6 +49,7 @@ from throttleplan.tiergame import (
     _total_regret,
     _zero_rate_threshold,
 )
+from throttleplan.regret import tiered_aggregate_regret
 
 KAPPAS = (0.0, 0.01, 0.05, 0.2)
 
@@ -121,8 +122,14 @@ def _reference_stackelberg(pop, prices, capacity, kappa, seed, max_iters=tiergam
             if assignment.tier_of in seen:
                 break
             seen.add(assignment.tier_of)
-    regret = _total_regret(pop, plan, members, shares, prices, params)
+    tier_plans = [plan(m, share) for m, share in zip(members, shares)]
+    regret = tiered_aggregate_regret(pop, members, tier_plans, list(prices), params)
     return EquilibriumReport(converged, iterations, assignment, plans, regret, shares)
+
+
+def _by_tier(plan, shares):
+    """A (members, share) plan function as the library's (tier, members) one."""
+    return lambda tier, members: plan(members, shares[tier])
 
 
 def _reference_moves(demands, config, assignment, params, plan, first_only=False):
@@ -210,7 +217,8 @@ def test_check_equilibrium_matches_eager_reference():
         assert check_equilibrium(pop, config, assignment) == (not want, want)
         first = _reference_moves(pop.demands.tolist(), config, assignment, params, plan, True)
         assert tiergame._improving_moves(
-            pop.demands.tolist(), config, assignment, params, plan, first_only=True) == first
+            pop.demands.tolist(), config, assignment, params,
+            _by_tier(plan, config.capacity_shares), first_only=True) == first
 
 
 def test_enumeration_matches_eager_reference():
@@ -240,9 +248,10 @@ def _lazy_nash(pop, cfg, params, plan):
     n = len(pop)
     demands = pop.demands.tolist()
     assignments = (Assignment(tuple((bits >> i) & 1 for i in range(n)), 2) for bits in range(1 << n))
+    by_tier = _by_tier(plan, cfg.capacity_shares)
     return [
         a for a in assignments
-        if not tiergame._improving_moves(demands, cfg, a, params, plan, first_only=True)
+        if not tiergame._improving_moves(demands, cfg, a, params, by_tier, first_only=True)
     ]
 
 
@@ -258,7 +267,7 @@ def _lazy_sweep(pop, config, step):
         cfg = tiergame._split_config(config, split)
         plan = cache(partial(_download_plan, pop.demands, rho=params.rho))
         pairs = tuple(
-            (a.class_id, _total_regret(pop, plan, a.members(), cfg.capacity_shares,
+            (a.class_id, _total_regret(pop, _by_tier(plan, cfg.capacity_shares), a.members(),
                                        cfg.prices, params))
             for a in _lazy_nash(pop, cfg, params, plan)
         )
@@ -325,7 +334,8 @@ def test_floor_never_exceeds_the_solved_deviation(members, mover, fraction, pric
     params = RegretParams(rho=rho, kappa=1.0)
     plan = partial(_download_plan, demands, rho=rho)
     t_hat = _zero_rate_threshold(demands, tier, share)
-    dev, _ = _move_regret(mover, plan, tier, len(members), share, price_term, params)
+    dev, _ = _move_regret(
+        mover, _by_tier(plan, (share,)), tier, len(members), 0, price_term, params)
     assert _join_floor(price_term, t_hat, mover, 2 * rho) <= dev
     if share < demands.sum():
         lad = _Ladder(demands, share)
