@@ -13,6 +13,11 @@ throttled depends on the access mode:
   Streams cannot time-shift, so activity stays at x and a user whose codec
   rate is below r never notices the throttle.
 
+Both are one rule: a user is throttled iff d > T and their *gate* exceeds
+r, where the gate is the demand d for downloads and the rate R for streams
+(:func:`_gate`, :func:`_throttled_mask`).  The gate is also what r is
+delivered against, so a throttled user's rate penalty is 1 - r / gate.
+
 The total consumption is continuous and strictly increasing in both T and r
 wherever somebody is throttled, and piecewise linear in each: in T it bends
 at the sorted demands, in r at the sorted gates.  The solvers below find
@@ -108,16 +113,23 @@ def _download_activity(demand: float, rate: float) -> float:
     return 1.0 if rate <= 0 else min(demand / rate, 1.0)
 
 
-def _throttled_mask(pop: Population, threshold: float, rate: float, mode: Mode) -> np.ndarray:
-    d = pop.demands
-    gate = d if mode is Mode.DOWNLOAD else pop.rates
-    return (d > threshold) & (gate > rate)
+def _gate(demands, rates, mode: Mode):
+    """What the post-throttle rate is compared with: demands for download, rates for streaming."""
+    return demands if mode is Mode.DOWNLOAD else rates
+
+
+def _throttled_mask(demands, gate, threshold: float, rate: float):
+    """Whether each user is throttled: demand above the threshold, gate above the rate.
+
+    Takes floats or numpy columns alike.
+    """
+    return (demands > threshold) & (gate > rate)
 
 
 def partition(pop: Population, plan: Plan) -> Partition:
     """Split the population into throttled / low-demand / low-rate sets."""
     d = pop.demands
-    hot = _throttled_mask(pop, plan.threshold, plan.rate, plan.mode)
+    hot = _throttled_mask(d, _gate(d, pop.rates, plan.mode), plan.threshold, plan.rate)
     low_demand = ~hot & (d <= plan.threshold)
     low_rate = ~hot & ~low_demand
     idx = np.arange(len(pop))
@@ -136,8 +148,7 @@ def _consumption_arrays(
     rate: float,
     mode: Mode,
 ) -> float:
-    gate = demands if mode is Mode.DOWNLOAD else rates
-    hot = (demands > threshold) & (gate > rate)
+    hot = _throttled_mask(demands, _gate(demands, rates, mode), threshold, rate)
     if not hot.any():
         return float(demands.sum())
     d_hot = demands[hot]
@@ -157,14 +168,8 @@ def consumption(pop: Population, plan: Plan) -> float:
 
 def allocation(user: UserProfile, plan: Plan) -> float:
     """Expected consumption of a single user under a plan."""
-    if not plan.throttles:
-        return user.demand
-    d = user.demand
-    gate = d if plan.mode is Mode.DOWNLOAD else user.rate
-    if d > plan.threshold and gate > plan.rate:
-        y = post_throttle_activity(user, plan.rate, plan.mode)
-        return plan.threshold + plan.rate * y * (1.0 - plan.threshold / d)
-    return d
+    d, rate, x = (np.array([v]) for v in (user.demand, user.rate, user.activity))
+    return _consumption_arrays(d, rate, x, plan.threshold, plan.rate, plan.mode)
 
 
 def _check_capacity(capacity: float) -> None:
@@ -265,7 +270,7 @@ def threshold_for_rate(
     d, R, x = pop.demands, pop.rates, pop.activities
     if _consumption_arrays(d, R, x, 0.0, rate, mode) > capacity + 1e-9 * max(1.0, capacity):
         return None
-    gate = d if mode is Mode.DOWNLOAD else R
+    gate = _gate(d, R, mode)
     idx = np.flatnonzero(gate > rate)
     if idx.size == 0:
         return 0.0  # nobody can be throttled; consumption is within tolerance anyway
@@ -276,7 +281,7 @@ def threshold_for_rate(
     k = _tight_segment(
         ds, pop.total_demand - _suffix_sums(ds - ry), _suffix_sums(1.0 - ry / ds), capacity
     )
-    hot = _throttled_mask(pop, float(ds[k - 1]) if k else 0.0, rate, mode)
+    hot = _throttled_mask(d, gate, float(ds[k - 1]) if k else 0.0, rate)
     d_hot = d[hot]
     y = np.ones(d_hot.size) if mode is Mode.DOWNLOAD else x[hot]
     denom = float(np.sum(1.0 - rate * y / d_hot))
@@ -305,7 +310,7 @@ def rate_for_threshold(
     d, R, x = pop.demands, pop.rates, pop.activities
     if _consumption_arrays(d, R, x, threshold, 0.0, mode) > capacity + 1e-9 * max(1.0, capacity):
         return None
-    gate = d if mode is Mode.DOWNLOAD else R
+    gate = _gate(d, R, mode)
     idx = np.flatnonzero(d > threshold)
     if idx.size == 0:
         return 0.0  # everyone already fits at this threshold
@@ -319,7 +324,7 @@ def rate_for_threshold(
         _suffix_sums(y * (1.0 - threshold / ds)),
         capacity,
     )
-    hot = _throttled_mask(pop, threshold, float(gate[idx[k - 1]]) if k else 0.0, mode)
+    hot = _throttled_mask(d, gate, threshold, float(gate[idx[k - 1]]) if k else 0.0)
     d_hot = d[hot]
     y_hot = np.ones(d_hot.size) if mode is Mode.DOWNLOAD else x[hot]
     spare = capacity - float(d[~hot].sum()) - threshold * d_hot.size

@@ -28,7 +28,7 @@ from .population import (
     load_population,
     save_population,
 )
-from .regret import RegretParams
+from .regret import RegretParams, _regret
 from .streaming import CodecSet, optimize_streaming, streaming_curve
 from .tiergame import TierConfig, stackelberg_iterate, sweep_splits
 
@@ -126,7 +126,7 @@ def cmd_optimize(args) -> int:
         print("T=inf r=inf regret=0")
         return 0
     if args.mode == "download":
-        sol = optimize_download(pop, cap, params, with_intervals=False)
+        sol = optimize_download(pop, cap, params)
         plan, extras = sol.plan, ()
     else:
         codecs = CodecSet.parse(args.codecs) if args.codecs else None
@@ -167,7 +167,7 @@ def cmd_tiers(args) -> int:
           prices=args.prices, kappa=args.kappa, capacity=f"{cap:.6f}")
     if len(prices) == 1:
         # a single tier is just the plain optimizer
-        sol = optimize_download(pop, cap, params, with_intervals=False)
+        sol = optimize_download(pop, cap, params)
         print(
             f"T={sol.plan.threshold:.6f} r={sol.plan.rate:.6f} regret={sol.regret:.6f}"
         )
@@ -212,23 +212,19 @@ def cmd_tiers(args) -> int:
             f"regret={report.regret:.6f}"
         )
         if args.output:
-            params_out = RegretParams(rho=args.rho, kappa=args.kappa)
             with open(args.output, "w", newline="\n") as fh:
                 w = csv.writer(fh, lineterminator="\n")
                 w.writerow(["id", "rate", "tier", "regret"])
-                from .regret import tiered_user_regret
-
-                for i, user in enumerate(pop):
-                    tier = report.assignment.tier_of[i]
+                columns = zip(pop.ids.tolist(), pop.rates.tolist(), pop.activities.tolist(),
+                              report.assignment.tier_of)
+                for uid, rate, activity, tier in columns:
+                    reg_txt = ""
                     if report.tier_plans:
-                        reg = tiered_user_regret(
-                            user, report.tier_plans[tier], prices[tier], params_out
-                        )
+                        plan = report.tier_plans[tier]
+                        reg = params.kappa * prices[tier] + _regret(rate, activity, plan, params)
                         reg_txt = f"{reg:.9g}"
-                    else:
-                        reg_txt = ""
                     # tiers are numbered from 1 in rendered output
-                    w.writerow([user.id, repr(user.rate), tier + 1, reg_txt])
+                    w.writerow([uid, repr(rate), tier + 1, reg_txt])
             print(f"assignment={args.output}")
     print(f"elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
@@ -253,7 +249,7 @@ def cmd_simulate(args) -> int:
         if cap >= pop.total_demand:
             plan = Plan.no_throttling(mode)
         elif mode is Mode.DOWNLOAD:
-            plan = optimize_download(pop, cap, params, with_intervals=False).plan
+            plan = optimize_download(pop, cap, params).plan
         else:
             if not args.codecs:
                 raise ThrottlePlanError("--optimize in stream mode requires --codecs")

@@ -14,7 +14,12 @@ both ends of each of the O(n) intervals and keeps the best.  The crossing
 can be a local maximum, so a minimum off the r = T diagonal is missed.
 
 Each interval's throttled suffix is read off the sorted events, counted
-from the suffix at T = 0.  For integer rho a candidate's regret is then
+from the suffix at T = 0.  There capacity pins r by sum min(d, r) = C, the
+equation that defines the zero-rate threshold t_hat, so r = t_hat and the
+suffix holds the demands above it.  When t_hat reaches the largest demand,
+capacity covers demand up to rounding and the plan is no throttling.
+
+For integer rho a candidate's regret in its interval's suffix k is
 sum_m (-1)^m c_m S[m, k]: c are the coefficients of
 (1 + (r + t) x + r t x^2)^rho and S[m, k] the suffix moments of x = 1/d
 for m <= 2 rho, built once per solve.  That costs O(rho^2) per candidate
@@ -31,8 +36,8 @@ row-batched dense scan (:func:`_optimize_rows`).  Each row of an (m, s)
 demand array gets its own ladder from a stable row sort and sequential row
 sums, searchsorted becomes a per-row count, and the interval bounds a row
 sort with equal neighbours merged.  Both scans share the rest: t_hat from
-the row-wise segment rule of :mod:`allocation`, the fixed point at T = 0,
-the kick formulas and filters, and the candidate and pick code.  The
+the row-wise segment rule of :mod:`allocation`, the state at T = 0 read off
+it, the kick formulas and filters, and the candidate and pick code.  The
 intervals of all rows run flat, tagged by row, and each row keeps its first
 rooted, else first tied, interval, so every row gets bit for bit what
 :func:`optimize_demands` gives it.  Single solves stay on the single scan:
@@ -42,10 +47,9 @@ one row costs the batch about twice as much.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,6 +141,20 @@ def _dense_regret(
     return np.sum(np.where(mask, term**rho, 0.0), axis=1)
 
 
+def _tight_rates(
+    h: np.ndarray, spare: np.ndarray, s_inv: np.ndarray, ts: np.ndarray
+) -> np.ndarray:
+    """Capacity-tight rates at thresholds ``ts`` of throttled suffixes, clamped at 0.
+
+    ``h`` is each suffix's size, ``spare`` the capacity left after the
+    unthrottled prefix and ``s_inv`` the suffix sum of 1/d.
+    """
+    denom = h - ts * s_inv
+    safe = (denom > 1e-12) & (h > 0)
+    rs = np.where(safe, (spare - h * ts) / np.where(safe, denom, 1.0), 0.0)
+    return np.clip(rs, 0.0, None)
+
+
 def _candidates(
     a: np.ndarray, b: np.ndarray, h: np.ndarray, spare: np.ndarray, s_inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,10 +169,7 @@ def _candidates(
     t_loc = (h - np.sqrt(np.clip(disc, 0.0, None))) / s_inv
     interior = (disc >= 0.0) & (a <= t_loc) & (t_loc < b)
     ts = np.stack((np.where(interior, t_loc, a), a, b))
-    denom = h - ts * s_inv
-    safe = (denom > 1e-12) & (h > 0)
-    rs = np.where(safe, (spare - h * ts) / np.where(safe, denom, 1.0), 0.0)
-    return ts, np.clip(rs, 0.0, None), interior
+    return ts, _tight_rates(h, spare, s_inv, ts), interior
 
 
 def _pick(
@@ -195,35 +210,12 @@ class _Ladder:
         """Vectorized fixed point: (k, capacity-tight r) for many thresholds."""
         k = np.searchsorted(self.ds, ts, side="right").astype(np.int64)
         for _ in range(self.n + 1):
-            r = self.rate_vec(k, ts)
+            r = _tight_rates(self.n - k, self.capacity - self.prefix[k], self.suf_inv[k], ts)
             k2 = np.searchsorted(self.ds, np.maximum(ts, r), side="right").astype(np.int64)
             if np.array_equal(k2, k):
                 break
             k = k2
         return k, r
-
-    def fixed_point_at_zero(self) -> tuple[int, float]:
-        """:meth:`fixed_point_vec` at the single threshold T = 0: (k0, r0)."""
-        return _fixed_point_at_zero(self.ds, self.prefix, self.capacity)
-
-    def rate_vec(self, k: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Capacity-tight rates for (suffix, threshold) pairs, clamped at 0."""
-        h = self.n - k
-        denom = h - ts * self.suf_inv[k]
-        safe = (denom > 1e-12) & (h > 0)
-        r = np.where(
-            safe,
-            (self.capacity - self.prefix[k] - h * ts) / np.where(safe, denom, 1.0),
-            0.0,
-        )
-        return np.clip(r, 0.0, None)
-
-    def regret_at(self, k: int, t: float, r: float, rho: float) -> float:
-        tail = self.ds[k:]
-        if tail.size == 0:
-            return 0.0
-        term = np.clip(1.0 - r / tail, 0.0, None) * np.clip(1.0 - t / tail, 0.0, None)
-        return float(np.sum(term**rho))
 
     def regret_vec(self, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: float) -> np.ndarray:
         """Aggregate regrets for many (suffix, threshold, rate) triples.
@@ -298,38 +290,17 @@ class _Ladder:
         return est, np.where(clipped, math.inf, err)
 
 
-def _fixed_point_at_zero(
-    ds: Sequence[float], prefix: Sequence[float], capacity: float
-) -> tuple[int, float]:
-    """Capacity-tight fixed point at T = 0 over sorted demands: (k0, r0).
-
-    ``prefix`` holds the running sums of ``ds``.  k0 is the suffix start of
-    the throttled set and r0 its rate.  It runs in scalar arithmetic on one
-    row: the single scan passes its arrays, the row scan each row's lists.
-    """
-    n = len(ds)
-    k = bisect_right(ds, 0.0)
-    for _ in range(n + 1):
-        h = n - k
-        r = max(float(capacity - prefix[k]) / h, 0.0) if h > 0 else 0.0
-        k2 = bisect_right(ds, r)
-        if k2 == k:
-            break
-        k = k2
-    return k, r
-
-
 def _kick_masks(
     ds: np.ndarray, k: np.ndarray, prefix_k: np.ndarray, suf_inv_k: np.ndarray,
-    cap: np.ndarray | float, t_hat: np.ndarray | float, r0: np.ndarray | float,
+    cap: np.ndarray | float, t_hat: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kick thresholds over sorted demands ds: (t_in, good, out).
 
     ``k`` counts each row's demands at or below d_i, ``prefix_k`` and
-    ``suf_inv_k`` are the row sums read at k, and ``cap``, ``t_hat`` and
-    ``r0`` (the rate at T = 0) broadcast against ds, so one row or many go
-    through the same arithmetic.  ``good`` marks the kick-ins, at t_in, and
-    ``out`` the kick-outs, at d_i; both lie in [0, t_hat).
+    ``suf_inv_k`` are the row sums read at k, and ``cap`` and ``t_hat``
+    broadcast against ds, so one row or many go through the same
+    arithmetic.  ``good`` marks the kick-ins, at t_in, and ``out`` the
+    kick-outs, at d_i; both lie in [0, t_hat).
     """
     s = ds.shape[-1]
     # kick-ins: r(T) falls to d_i while T is still below d_i
@@ -340,9 +311,10 @@ def _kick_masks(
     good &= (t_in >= 0.0) & (t_in < np.minimum(t_hat, ds))
     # kick-outs: T grows past d_i.  Only users who were actually throttled on
     # the way up leave the set: those kicked in earlier, or throttled from
-    # T = 0.  Without this filter a d_i below the running rate would emit a
-    # phantom event, splitting a constant-membership interval in two.
-    out = (ds < t_hat) & (good | (ds > r0))
+    # T = 0, but those lie above r = t_hat and T never passes them.  Without
+    # this filter a d_i below the running rate would emit a phantom event,
+    # splitting a constant-membership interval in two.
+    out = (ds < t_hat) & good
     return t_in, good, out
 
 
@@ -351,13 +323,14 @@ def _kick_thresholds(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Membership-change thresholds in [0, t_hat) as (t_in, who_in, t_out, who_out, k0).
 
-    k0 is the suffix start of the throttled set at T = 0.
+    k0 is the suffix start of the throttled set at T = 0: the demands above
+    r = t_hat.
     """
     ds = lad.ds
     k = np.searchsorted(ds, ds, side="right")
-    k0, r0 = lad.fixed_point_at_zero()
-    t_in, good, out = _kick_masks(ds, k, lad.prefix[k], lad.suf_inv[k], lad.capacity, lad.t_hat, r0)
+    t_in, good, out = _kick_masks(ds, k, lad.prefix[k], lad.suf_inv[k], lad.capacity, lad.t_hat)
     idx = np.arange(lad.n)
+    k0 = int(np.searchsorted(ds, lad.t_hat, side="right"))
     return t_in[good], idx[good], ds[out], idx[out], k0
 
 
@@ -436,9 +409,13 @@ def _optimize_ladder(
     except in small solves: with at most 4096 dense terms (candidates times
     members) the moment filter costs more than the dense sum it would save,
     so every candidate is scored densely.  The pick is the same either way.
+    A t_hat at or past the largest demand means capacity covers demand up
+    to rounding: the plan is then no throttling, (inf, inf, 0.0).
     """
-    if lad.t_hat <= 0:
-        reg = lad.regret_at(0, 0.0, 0.0, rho)
+    if lad.t_hat >= lad.ds[-1]:
+        return math.inf, math.inf, 0.0, []
+    if lad.t_hat <= 0:  # T = r = 0: every member's regret is 1
+        reg = float(lad.n)
         recs = [IntervalResult(0.0, 0.0, tuple(range(lad.n)), 0.0, reg)] if want_intervals else []
         return 0.0, 0.0, reg, recs
     a, b, k = _intervals(lad)
@@ -476,7 +453,7 @@ def _optimize_ladder(
 
 
 def optimize_download(
-    pop: Population, capacity: float, params: RegretParams, with_intervals: bool = True
+    pop: Population, capacity: float, params: RegretParams, with_intervals: bool = False
 ) -> DownloadSolution:
     """Least-regret download plan meeting capacity, as the interval scan finds it.
 
@@ -484,7 +461,9 @@ def optimize_download(
     same bytes), so the plan depends only on d_i = rate * activity.  The
     returned plan satisfies capacity exactly; its rate equals its threshold
     unless the pick is an interval end.  The scan can miss a minimum off
-    the r = T diagonal (see the module docstring).
+    the r = T diagonal (see the module docstring).  ``with_intervals`` also
+    returns every interval's record, at the cost of scoring each candidate
+    densely: quadratic in the population size.
     """
     _check_params(params)
     _check_capacity(capacity)
@@ -562,32 +541,24 @@ class _RowLadders:
         return _RowLadders(self.ds[rows], self.prefix[rows], self.suf_inv[rows],
                            self.caps[rows], self.t_hat[rows])
 
-    def fixed_points_at_zero(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_Ladder.fixed_point_at_zero` of every row: (k0, r0)."""
-        k, r = np.zeros(self.caps.size, dtype=np.intp), np.zeros(self.caps.size)
-        rows = zip(self.ds.tolist(), self.prefix.tolist(), self.caps.tolist())
-        for i, row in enumerate(rows):
-            k[i], r[i] = _fixed_point_at_zero(*row)
-        return k, r
-
     def intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:func:`_intervals` of every row with t_hat > 0, flat: (row, a, b, k).
 
         The kick thresholds are :func:`_kick_masks`', with searchsorted a
         per-row count.  Each row's bounds are sorted with unused slots last
         as inf; a kick-in shrinks the suffix and a kick-out grows it, so the
-        running count of events from k0 is the suffix start, and merging
+        running count of events from k0 (the count of demands at or below
+        t_hat) is the suffix start, and merging
         equal bounds into the last of their run counts every event at a
         bound, as searchsorted does.
         """
         ds, t_hat = self.ds, self.t_hat
         m, s = ds.shape
         k = np.count_nonzero(ds[:, None, :] <= ds[:, :, None], axis=2)
-        k0, r0 = self.fixed_points_at_zero()
+        k0 = np.count_nonzero(ds <= t_hat[:, None], axis=1)
         t_in, good, out = _kick_masks(
             ds, k, np.take_along_axis(self.prefix, k, axis=1),
-            np.take_along_axis(self.suf_inv, k, axis=1),
-            self.caps[:, None], t_hat[:, None], r0[:, None],
+            np.take_along_axis(self.suf_inv, k, axis=1), self.caps[:, None], t_hat[:, None],
         )
 
         bounds = np.concatenate(
@@ -613,18 +584,18 @@ def _scan_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_optimize_ladder`'s dense scan of rows whose caps lie below their sums.
 
-    Rows with t_hat <= 0 are planned T = r = 0.  The other rows' intervals
-    run flat, tagged by row, through the single scan's candidate and pick
-    code, with each candidate's dense regret summed over its own row.
+    Rows with t_hat <= 0 are planned T = r = 0, at regret s, and rows with
+    t_hat at or past their largest demand are not throttled.  The other
+    rows' intervals run flat, tagged by row, through the single scan's
+    candidate and pick code, with each candidate's dense regret summed over
+    its own row.
     """
     m, s = rows.shape
     lad = _RowLadders.build(rows, caps)
-    t, r, reg = np.zeros(m), np.zeros(m), np.zeros(m)
-    flat = np.flatnonzero(lad.t_hat <= 0)
-    if flat.size:  # T = r = 0 throttles everyone
-        zero = np.zeros(flat.size)
-        reg[flat] = _dense_regret(lad.ds[flat], zero.astype(np.intp), zero, zero, rho)
-    live = np.flatnonzero(lad.t_hat > 0)
+    t, r, reg = np.zeros(m), np.zeros(m), np.full(m, float(s))
+    covered = lad.t_hat >= lad.ds[:, -1]
+    t[covered], r[covered], reg[covered] = math.inf, math.inf, 0.0
+    live = np.flatnonzero((lad.t_hat > 0) & ~covered)
     if not live.size:
         return t, r, reg
     lad = lad.take(live)

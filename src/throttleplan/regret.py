@@ -5,10 +5,10 @@ penalty, each raised to a tunable exponent:
 
     regret = (1 - delivered_rate_fraction)^rho * (1 - T / d)^tau
 
-Unthrottled users have zero regret.  For download users the delivered
-fraction compares the post-throttle rate against their demand; for
-streaming users it compares codec rates, since a stream that still fits in
-r is delivered in full.  Tiered plans add a price term kappa * price that
+Unthrottled users have zero regret.  The delivered fraction is r over the
+user's gate (see :mod:`allocation`): their demand for download users, their
+codec rate for streaming users, since a stream that still fits in r is
+delivered in full.  Tiered plans add a price term kappa * price that
 every member of a tier pays, throttled or not.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import Mode, Plan
+from .allocation import Plan, _gate, _throttled_mask
 from .errors import ValidationError
 from .population import Population, UserProfile
 
@@ -51,15 +51,11 @@ class RegretParams:
 
 def _regret(rate: float, activity: float, plan: Plan, params: RegretParams) -> float:
     """:func:`user_regret` from a user's rate and activity, for loops over columns."""
-    if not plan.throttles:
-        return 0.0
     d = rate * activity
-    gate = d if plan.mode is Mode.DOWNLOAD else rate
-    if not (d > plan.threshold and gate > plan.rate):
+    gate = _gate(d, rate, plan.mode)
+    if not _throttled_mask(d, gate, plan.threshold, plan.rate):
         return 0.0
-    # post-throttle activity: a throttled download has d > r, so min(d / r, 1) = 1
-    y = 1.0 if plan.mode is Mode.DOWNLOAD else activity
-    rate_term = max(1.0 - plan.rate * y / d, 0.0)
+    rate_term = max(1.0 - plan.rate / gate, 0.0)
     time_term = max(1.0 - plan.threshold / d, 0.0)
     return rate_term**params.rho * time_term**params.tau
 
@@ -71,20 +67,13 @@ def user_regret(user: UserProfile, plan: Plan, params: RegretParams) -> float:
 
 def aggregate_regret(pop: Population, plan: Plan, params: RegretParams) -> float:
     """Sum of user regrets over the population."""
-    if not plan.throttles:
-        return 0.0
     d = pop.demands
-    gate = d if plan.mode is Mode.DOWNLOAD else pop.rates
-    hot = (d > plan.threshold) & (gate > plan.rate)
+    gate = _gate(d, pop.rates, plan.mode)
+    hot = _throttled_mask(d, gate, plan.threshold, plan.rate)
     if not hot.any():
         return 0.0
-    d_hot = d[hot]
-    if plan.mode is Mode.DOWNLOAD:
-        # throttled downloads have y = 1, so the delivered fraction is r / d
-        rate_term = 1.0 - plan.rate / d_hot
-    else:
-        rate_term = 1.0 - plan.rate / pop.rates[hot]
-    time_term = 1.0 - plan.threshold / d_hot
+    rate_term = 1.0 - plan.rate / gate[hot]
+    time_term = 1.0 - plan.threshold / d[hot]
     np.clip(rate_term, 0.0, None, out=rate_term)
     np.clip(time_term, 0.0, None, out=time_term)
     return float(np.sum(rate_term**params.rho * time_term**params.tau))

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .allocation import Mode, Plan, _check_capacity, _zero_rate_bound
-from .download import _check_grid_size, _optimize_rows, optimize_demands
+from .download import _check_grid_size, _check_params, _optimize_rows, optimize_demands
 from .errors import InfeasibleError, ThrottlePlanError, ValidationError
 from .population import DEFAULT_SEED, Population, assign_tiers_binomial
 from .regret import DEFAULT_RHO, RegretParams, _regret, tiered_aggregate_regret
@@ -504,10 +504,7 @@ def solve_multi_tier(
     capacity residual exceeds 1e-6 * max(1, C).  Tiers that end up
     unthrottled report their largest member demand; empty tiers report 0.
     """
-    if params.tau != params.rho:
-        raise ValidationError("multi-tier optimization requires rho == tau")
-    if params.rho < 2:
-        raise ValidationError("multi-tier optimization requires rho >= 2")
+    _check_params(params)
     if len(assignment.tier_of) != len(pop):
         raise ValidationError("assignment size must match population")
     _check_capacity(capacity)

@@ -184,6 +184,24 @@ def test_tiers_single_price_is_plain_optimum(pop4, tmp_path):
     assert "T=0.367636 r=0.367636 regret=0.165941" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize"],
+        ["tiers", "sweep", "--prices", "0.5,1.0", "--split-step", 0.5],
+    ],
+)
+def test_capacity_one_ulp_below_demand_exits_0(tmp_path, argv):
+    # at this fraction t_hat rounds up to the largest demand of some tiers
+    path = tmp_path / "pop.csv"
+    code, _, _ = run(["generate", "--dist", "lognormal:mu=0,sigma=0.5", "--n", 8,
+                      "--seed", 31, "-o", path])
+    assert code == 0
+    code, _, err = run([*argv, "--pop", path, "--capacity-fraction", 0.9999999999999999])
+    assert code == 0, err
+    assert "Traceback" not in err
+
+
 def test_tiers_sweep_enumeration_cap(tmp_path):
     pop = generate_lognormal(21, 0.0, 0.5, seed=0)
     path = write_pop(pop, tmp_path)

@@ -17,7 +17,7 @@ from throttleplan import (
     optimize_download,
     threshold_curve,
 )
-from throttleplan.download import MAX_GRID_POINTS, optimize_demands
+from throttleplan.download import MAX_GRID_POINTS, _optimize_rows, optimize_demands
 
 P2 = RegretParams()
 
@@ -78,7 +78,7 @@ def test_optimum_threshold_does_not_depend_on_exponent(pop4):
 
 
 def test_intervals_worked_instance(pop4):
-    sol = optimize_download(pop4, 1.8, P2)
+    sol = optimize_download(pop4, 1.8, P2, with_intervals=True)
     ivs = sol.intervals
     assert len(ivs) == 5
     assert [iv.throttled for iv in ivs] == [
@@ -107,6 +107,7 @@ def test_intervals_worked_instance(pop4):
 def test_with_intervals_flag(pop4):
     sol = optimize_download(pop4, 1.8, P2, with_intervals=False)
     assert sol.intervals == ()
+    assert optimize_download(pop4, 1.8, P2) == sol  # records are opt-in
     assert sol.regret == pytest.approx(0.1659410854222299, rel=1e-12)
 
 
@@ -140,6 +141,28 @@ def test_zero_capacity(pop4):
     assert sol.plan.threshold == 0.0
     assert sol.plan.rate == 0.0
     assert sol.regret == pytest.approx(4.0)
+
+
+# capacity one ulp below this row's sum: t_hat rounds up to the largest demand
+NEAR_FULL = [0.364, 0.395, 0.54, 0.288, 0.609, 0.11, 0.22, 0.294]
+
+
+def test_capacity_covering_demand_up_to_rounding_is_no_throttling():
+    demands = np.array(NEAR_FULL)
+    assert 2.82 < demands.sum()
+    assert optimize_demands(demands, 2.82, 2.0) == (math.inf, math.inf, 0.0)
+    pop = Population([UserProfile(i, d, 1.0) for i, d in enumerate(NEAR_FULL)])
+    sol = optimize_download(pop, 2.82, P2)
+    assert not sol.plan.throttles and sol.regret == 0.0
+
+
+def test_near_full_row_keeps_its_own_plan_in_a_batch():
+    rows = np.array([NEAR_FULL, [0.3, 0.5, 0.2, 0.9, 0.4, 0.6, 0.7, 0.8]])
+    caps = np.array([2.82, 2.0])
+    t, r, reg = _optimize_rows(rows, caps, 2.0)
+    for i in range(2):
+        assert (t[i], r[i], reg[i]) == optimize_demands(rows[i], float(caps[i]), 2.0)
+    assert (t[0], r[0], reg[0]) == (math.inf, math.inf, 0.0)
 
 
 def test_parameter_validation(pop4):

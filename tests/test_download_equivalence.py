@@ -6,7 +6,8 @@ midpoint, and every candidate of every interval scored with the dense
 (intervals x users) regret sum.  It is kept here as a test-only reference.
 The library must return the same (t, r, regret) bit for bit on random
 instances; its event-read membership must equal the fixed point at every
-midpoint; and its moment-form estimate must lie within its stated error of
+midpoint, and its state at T = 0, read off t_hat, the fixed point at 0; and
+its moment-form estimate must lie within its stated error of
 the dense regret at every candidate of every interval, not only the winner.
 """
 
@@ -17,6 +18,7 @@ import pytest
 
 from throttleplan.download import (
     _intervals,
+    _kick_thresholds as _library_kicks,
     _Ladder,
     _optimize_ladder,
     optimize_demands,
@@ -75,7 +77,8 @@ def _kick_thresholds(lad):
 def _dense_optimize(lad, rho):
     """(t, r, regret) of the dense interval scan."""
     if lad.t_hat <= 0:
-        return 0.0, 0.0, lad.regret_at(0, 0.0, 0.0, rho)
+        zero = np.zeros(1)
+        return 0.0, 0.0, float(_regret_vec(lad, zero.astype(np.int64), zero, zero, rho)[0])
     t_in, t_out = _kick_thresholds(lad)
     bounds = np.unique(np.concatenate(([0.0], t_in, t_out, [lad.t_hat])))
     a, b = bounds[:-1], bounds[1:]
@@ -175,10 +178,32 @@ def test_event_membership_equals_fixed_point():
         want, _ = _fixed_point_vec(lad, 0.5 * (a + b))
         assert np.array_equal(k, want), (demands.tolist(), capacity)
         checked += k.size
-        # the scalar T = 0 fixed point the events start from
-        k0, r0 = _fixed_point_vec(lad, np.zeros(1))
-        assert lad.fixed_point_at_zero() == (int(k0[0]), float(r0[0]))
+        _assert_zero_state_is_t_hat(lad)
     assert checked > 20_000
+
+
+def _assert_zero_state_is_t_hat(lad):
+    """The events start from (#ds <= t_hat, t_hat), the fixed point at T = 0."""
+    k0, r0 = _fixed_point_vec(lad, np.zeros(1))
+    assert (int(k0[0]), float(r0[0]).hex()) == (_library_kicks(lad)[4], float(lad.t_hat).hex())
+
+
+@pytest.mark.parametrize(
+    "demands, capacity",
+    [
+        # t_hat lands exactly on a demand, which stays unthrottled at T = 0
+        ([1.0, 2.0, 3.0], 5.0),
+        ([0.5, 0.5, 1.0, 1.0, 2.0], 4.0),
+        ([0.25, 1.0, 1.0, 1.0, 4.0], 4.25),
+    ],
+)
+def test_zero_state_with_t_hat_on_a_demand(demands, capacity):
+    lad = _Ladder(np.array(demands), capacity)
+    assert lad.t_hat in lad.ds
+    _assert_zero_state_is_t_hat(lad)
+    a, b, k = _intervals(lad)
+    want, _ = _fixed_point_vec(lad, 0.5 * (a + b))
+    assert np.array_equal(k, want)
 
 
 def test_moment_estimates_bound_every_candidate():

@@ -5,10 +5,10 @@ enumeration's subset table.  Every row must give exactly what
 ``optimize_demands`` gives for that row alone: the same (t, r, regret), bit
 for bit, signs of zeros included.  The draws cover tied demands (codec rates
 times percent activities), lognormal demands over many scales, capacities of
-0, inside (0, row sum), at the row sum and above it, and batches that cross
-the scan's row chunks, under the default budget and under budgets shrunk to
-a few rows a chunk.  The row ladders, their fixed points at T = 0 and
-their interval bounds with suffix starts must equal each single ladder's,
+0, inside (0, row sum), one ulp below the row sum, at it and above it, and
+batches that cross the scan's row chunks, under the default budget and under
+budgets shrunk to a few rows a chunk.  The row ladders and their interval
+bounds with suffix starts must equal each single ladder's,
 since a user exactly at a kick threshold consumes and regrets the same in
 or out of the suffix: a wrong count there can hide in the rounding of the
 final pick.
@@ -43,11 +43,14 @@ def _lognormal_rows(rng, m, s):
 
 
 def _capacities(rng, rows):
-    """Per row: 0, a fraction of the row sum, the row sum itself, or more."""
+    """Per row: 0, a fraction of the row sum, one ulp below it, the sum itself, or more."""
     sums = np.array([float(row.sum()) for row in rows])
-    kind = rng.integers(4, size=sums.size)
+    kind = rng.integers(5, size=sums.size)
     inside = sums * rng.uniform(0.05, 0.999, sums.size)
-    return np.select([kind == 0, kind == 1, kind == 2], [0.0, inside, sums], sums * 1.5)
+    return np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3],
+        [0.0, inside, np.nextafter(sums, 0), sums], sums * 1.5,
+    )
 
 
 def _bits(values):
@@ -83,7 +86,19 @@ def test_every_row_matches_the_single_solve(batch, rho, budget):
 @settings(max_examples=120, deadline=None)
 @given(batch=batches())
 def test_row_ladders_and_intervals_match_the_single_ladder(batch):
-    rows, caps = batch
+    _assert_ladders_match(*batch)
+
+
+def test_row_ladders_with_t_hat_on_a_demand():
+    # sum min(d, t) meets each capacity at t = a demand, which stays unthrottled at T = 0
+    rows = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [0.5, 1.0, 2.0]])
+    caps = np.array([5.0, 5.0, 2.5])
+    assert [_Ladder(row, cap).t_hat for row, cap in zip(rows, caps)] == [2.0, 2.0, 1.0]
+    _assert_ladders_match(rows, caps)
+    _assert_rows_match(rows, caps, 2.0)
+
+
+def _assert_ladders_match(rows, caps):
     below = np.array([cap < float(row.sum()) for row, cap in zip(rows, caps)], dtype=bool)
     rows, caps = rows[below], caps[below]
     ladders = _RowLadders.build(rows, caps)
@@ -94,11 +109,8 @@ def test_row_ladders_and_intervals_match_the_single_ladder(batch):
         assert _bits([ladders.t_hat[i]]) == _bits([one.t_hat])
     live = np.flatnonzero(ladders.t_hat > 0)
     ladders = ladders.take(live)
-    k0, r0 = ladders.fixed_points_at_zero()
     row, a, b, k = ladders.intervals()
     for j, i in enumerate(live):
-        want_k0, want_r0 = singles[i].fixed_point_at_zero()
-        assert int(k0[j]) == want_k0 and _bits([r0[j]]) == _bits([want_r0])
         want_a, want_b, want_k = _intervals(singles[i])
         mine = row == j
         assert a[mine].tobytes() == want_a.tobytes(), (rows[i].tolist(), float(caps[i]))
