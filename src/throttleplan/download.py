@@ -31,17 +31,22 @@ densely.  When rho is not an integer, or interval records are requested,
 every candidate is scored densely, and so is every candidate of a small
 solve, where the dense sum costs less than the moment filter.
 
-Many small solves at once, as the two-tier enumeration makes, go through a
-row-batched dense scan (:func:`_optimize_rows`).  Each row of an (m, s)
-demand array gets its own ladder from a stable row sort and sequential row
-sums, searchsorted becomes a per-row count, and the interval bounds a row
-sort with equal neighbours merged.  Both scans share the rest: t_hat from
-the row-wise segment rule of :mod:`allocation`, the state at T = 0 read off
-it, the kick formulas and filters, and the candidate and pick code.  The
-intervals of all rows run flat, tagged by row, and each row keeps its first
-rooted, else first tied, interval, so every row gets bit for bit what
-:func:`optimize_demands` gives it.  Single solves stay on the single scan:
-one row costs the batch about twice as much.
+Many solves at once, as the two-tier enumeration and the Stackelberg
+deviations make, go through a row-batched scan (:func:`_optimize_rows`).
+Each row of an (m, s) demand array gets its own ladder from a stable row
+sort and sequential row sums, searchsorted becomes a per-row count read off
+the runs of equal values, and the interval bounds a row sort with equal
+neighbours merged.  Both scans share the rest: t_hat from the row-wise
+segment rule of :mod:`allocation`, the state at T = 0 read off it, the kick
+formulas and filters, and the candidate, moment-filter and pick code.  That
+code takes the intervals of all rows flat, tagged by row, and a single
+solve is its one-row case.  The filter bounds each row's candidates against
+that row's own tie bar, and each row keeps its first rooted, else first
+tied, interval, so every row gets bit for bit what :func:`optimize_demands`
+gives it.  A batch judges the dense-terms rule from its row size: the
+subset rows of the enumeration, up to 25 members, are scored densely, and
+larger rows of integer rho go through the filter.  Single solves stay on
+the single scan: one row costs the batch 1.3 to 1.5 times as much.
 """
 
 from __future__ import annotations
@@ -126,19 +131,27 @@ _DENSE_TERMS = 4096
 _CHUNK_TERMS = 1_000_000
 
 
-def _dense_regret(
-    ds: np.ndarray, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: float
+def _dense_regrets(
+    ds: np.ndarray, row: np.ndarray, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: float
 ) -> np.ndarray:
-    """Regret of each (suffix, threshold, rate) triple, summed densely over a sorted row.
+    """Regret of each (row, suffix, threshold, rate) candidate, summed densely over its row.
 
-    ``ds`` is one sorted demand row (1, n) shared by every triple, or one
-    row per triple; each sum runs over all n columns, zeros outside the
-    suffix, so every triple's sum has the same shape.
+    ``ds`` holds sorted demand rows (m, s); a single row (m = 1) is shared
+    by every candidate, not gathered.  Each sum runs over all s columns,
+    zeros outside the suffix, so every candidate's sum has the same shape.
+    Chunked so no more than :data:`_CHUNK_TERMS` terms exist at once.
     """
-    mask = np.arange(ds.shape[1]) >= k[:, None]
-    term = np.clip(1.0 - rs[:, None] / ds, 0.0, None)
-    term *= np.clip(1.0 - ts[:, None] / ds, 0.0, None)
-    return np.sum(np.where(mask, term**rho, 0.0), axis=1)
+    m, s = ds.shape
+    out = np.empty(ts.size)
+    chunk = max(1, _CHUNK_TERMS // max(s, 1))
+    for lo in range(0, ts.size, chunk):
+        part = slice(lo, lo + chunk)
+        mine = ds if m == 1 else ds[row[part]]
+        mask = np.arange(s) >= k[part, None]
+        term = np.clip(1.0 - rs[part, None] / mine, 0.0, None)
+        term *= np.clip(1.0 - ts[part, None] / mine, 0.0, None)
+        out[part] = np.sum(np.where(mask, term**rho, 0.0), axis=1)
+    return out
 
 
 def _tight_rates(
@@ -217,77 +230,69 @@ class _Ladder:
             k = k2
         return k, r
 
-    def regret_vec(self, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: float) -> np.ndarray:
-        """Aggregate regrets for many (suffix, threshold, rate) triples.
 
-        Chunked so the broadcast never materializes more than a million
-        terms at once; each row still sums the same n terms.
-        """
-        out = np.empty(ts.size)
-        chunk = max(1, int(_CHUNK_TERMS // max(self.n, 1)))
-        for s in range(0, ts.size, chunk):
-            e = min(s + chunk, ts.size)
-            out[s:e] = _dense_regret(self.ds[None, :], k[s:e], ts[s:e], rs[s:e], rho)
-        return out
+def _moments(ds: np.ndarray, top: int) -> np.ndarray:
+    """Suffix moments of sorted rows ds (m, s): [p, i, j] sums d^-p over row i's j largest demands.
 
-    def moments(self, top: int) -> np.ndarray:
-        """Suffix moments: column j sums d^-m over the j largest demands, m = 0..top.
+    p runs over 0..top, and the suffix from sorted index k is column s - k.
+    The running sums are a doubling scan, so each is a balanced tree of
+    additions, accurate to ceil(log2 s) eps rather than a sequential
+    cumsum's s eps.
+    """
+    m, s = ds.shape
+    table = np.empty((top + 1, m, s + 1))
+    table[:, :, 0] = 0.0
+    table[0, :, 1:] = 1.0
+    inv = 1.0 / ds[:, ::-1]
+    for p in range(1, top + 1):
+        np.multiply(table[p - 1, :, 1:], inv, out=table[p, :, 1:])
+    step = 1
+    while step < s:
+        table[:, :, step + 1 :] = table[:, :, step + 1 :] + table[:, :, 1 : s + 1 - step]
+        step *= 2
+    return table
 
-        The suffix from sorted index k is column n - k.  The running sums are
-        a doubling scan, so each is a balanced tree of additions, accurate to
-        ceil(log2 n) eps rather than a sequential cumsum's n eps.
-        """
-        n = self.n
-        table = np.empty((top + 1, n + 1))
-        table[:, 0] = 0.0
-        table[0, 1:] = 1.0
-        inv = 1.0 / self.ds[::-1]
-        for m in range(1, top + 1):
-            np.multiply(table[m - 1, 1:], inv, out=table[m, 1:])
-        step = 1
-        while step < n:
-            table[:, step + 1 :] = table[:, step + 1 :] + table[:, 1 : n + 1 - step]
-            step *= 2
-        return table
 
-    def regret_moments(
-        self, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Moment-form regrets for many (suffix, threshold, rate) triples, with error bounds.
+def _regret_moments(
+    ds: np.ndarray, row: np.ndarray, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moment-form regrets of (row, suffix, threshold, rate) candidates, with error bounds.
 
-        With x = 1/d a member's term (1 - r x)^rho (1 - t x)^rho is
-        (1 - s x + p x^2)^rho, s = r + t, p = r t, whose x^m coefficient is
-        (-1)^m c_m for the non-negative coefficients c of
-        (1 + s x + p x^2)^rho.  The suffix sum is sum_m (-1)^m c_m S[m, k].
-        Returns it with a bound on its distance to :meth:`regret_vec`: a
-        multiple of eps times the scale sum_m c_m S[m, k], or inf where t or
-        r exceeds the smallest member's demand by more than 1e-9 relative.
-        Below that the dense form's clipping moves a member's term by at
-        most (1e-9)^rho, far under eps times its share of the scale.
-        """
-        table = self.moments(2 * rho)
-        est, err = np.empty(ts.size), np.empty(ts.size)
-        # first-order rounding of both forms is (6 rho + log2 n + 10) eps times
-        # the scale, the log2 n from the tree sums of the table and of the
-        # dense row; doubled
-        ulps = 2 * (6 * rho + math.ceil(math.log2(self.n)) + 10)
-        chunk = 1_000_000 // (2 * rho + 1)
-        for lo in range(0, ts.size, chunk):
-            part = slice(lo, lo + chunk)
-            s, p = rs[part] + ts[part], rs[part] * ts[part]
-            c = np.zeros((2 * rho + 1, s.size))
-            c[0] = 1.0
-            for j in range(rho):
-                low = c[: 2 * j + 1]
-                gain_s, gain_p = s * low, p * low
-                c[1 : 2 * j + 2] += gain_s
-                c[2 : 2 * j + 3] += gain_p
-            c *= table[:, self.n - k[part]]
-            scale = c.sum(axis=0)
-            est[part] = c[0::2].sum(axis=0) - c[1::2].sum(axis=0)
-            err[part] = ulps * np.finfo(float).eps * scale
-        clipped = np.maximum(ts, rs) > self.ds[k] * (1.0 + 1e-9)
-        return est, np.where(clipped, math.inf, err)
+    ``ds`` holds sorted demand rows (m, s).  With x = 1/d a member's term
+    (1 - r x)^rho (1 - t x)^rho is (1 - s x + p x^2)^rho, s = r + t,
+    p = r t, whose x^m coefficient is (-1)^m c_m for the non-negative
+    coefficients c of (1 + s x + p x^2)^rho.  The suffix sum is
+    sum_m (-1)^m c_m S[m, k] over the row's moments S.  Returns it with a
+    bound on its distance to :func:`_dense_regrets`: a multiple of eps times
+    the scale sum_m c_m S[m, k], or inf where t or r exceeds the smallest
+    member's demand by more than 1e-9 relative.  Below that the dense
+    form's clipping moves a member's term by at most (1e-9)^rho, far under
+    eps times its share of the scale.
+    """
+    width = ds.shape[1]
+    table = _moments(ds, 2 * rho)
+    est, err = np.empty(ts.size), np.empty(ts.size)
+    # first-order rounding of both forms is (6 rho + log2 s + 10) eps times
+    # the scale, the log2 s from the tree sums of the table and of the
+    # dense row; doubled
+    ulps = 2 * (6 * rho + math.ceil(math.log2(width)) + 10)
+    chunk = 1_000_000 // (2 * rho + 1)
+    for lo in range(0, ts.size, chunk):
+        part = slice(lo, lo + chunk)
+        s, p = rs[part] + ts[part], rs[part] * ts[part]
+        c = np.zeros((2 * rho + 1, s.size))
+        c[0] = 1.0
+        for j in range(rho):
+            low = c[: 2 * j + 1]
+            gain_s, gain_p = s * low, p * low
+            c[1 : 2 * j + 2] += gain_s
+            c[2 : 2 * j + 3] += gain_p
+        c *= table[:, row[part], width - k[part]]
+        scale = c.sum(axis=0)
+        est[part] = c[0::2].sum(axis=0) - c[1::2].sum(axis=0)
+        err[part] = ulps * np.finfo(float).eps * scale
+    clipped = np.maximum(ts, rs) > ds[row, k] * (1.0 + 1e-9)
+    return est, np.where(clipped, math.inf, err)
 
 
 def _kick_masks(
@@ -373,26 +378,67 @@ def _intervals(lad: _Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _near_best(
-    lad: _Ladder, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: int, interior: np.ndarray
+    ds: np.ndarray, row: np.ndarray, k: np.ndarray, ts: np.ndarray, rs: np.ndarray, rho: int,
+    interior: np.ndarray,
 ) -> np.ndarray:
-    """Candidates whose dense regret can decide the pick, from moment-form bounds.
+    """Candidates whose dense regret can decide their row's pick, from moment-form bounds.
 
-    ``k``, ``ts`` and ``rs`` are (3, m): the root, a and b candidates of
-    every interval.  An interval's pick lies within the tie band of its
-    floor, and the best pick within the band of the smallest floor, so a
+    ``row`` and ``k`` hold each interval's row of ds (m, s) and suffix
+    start, ``ts`` and ``rs`` are (3, intervals): the root, a and b
+    candidates.  An interval's pick lies within the tie band of its floor,
+    and a row's best pick within the band of its smallest floor, so a
     candidate above its interval's highest possible band can be neither its
-    floor nor its pick, and an interval above the highest possible tie bar
-    cannot tie the best.  Everything else is kept.
+    floor nor its pick, and an interval above its row's highest possible
+    tie bar cannot tie the row's best.  Everything else is kept.
     """
-    est, err = lad.regret_moments(k.ravel(), ts.ravel(), rs.ravel(), rho)
+    est, err = _regret_moments(ds, np.tile(row, 3), np.tile(k, 3), ts.ravel(), rs.ravel(), rho)
     lo, hi = (est - err).reshape(3, -1), (est + err).reshape(3, -1)
     lo[0, ~interior] = math.inf
     hi[0, ~interior] = math.inf
     upper = hi.min(axis=0)
     upper += _TIE_TOL * (1.0 + np.abs(upper))
-    bar = float(upper.min())
-    bar += _TIE_TOL * (1.0 + abs(bar))
-    return ~(lo > upper) & ~(lo.min(axis=0) > bar)
+    bar = np.full(ds.shape[0], math.inf)
+    np.minimum.at(bar, row, upper)
+    bar += _TIE_TOL * (1.0 + np.abs(bar))
+    return ~(lo > upper) & ~(lo.min(axis=0) > bar[row])
+
+
+def _interval_picks(
+    ds: np.ndarray, row: np.ndarray, a: np.ndarray, b: np.ndarray, k: np.ndarray,
+    spare: np.ndarray, s_inv: np.ndarray, rho: float, dense: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_pick` of live intervals [a, b), flat and tagged by their row of ds (m, s).
+
+    ``k`` is each interval's suffix start, ``spare`` and ``s_inv`` its
+    row's capacity left after the prefix and suffix sum of 1/d.  Unless
+    ``dense``, only the candidates :func:`_near_best` keeps get their dense
+    regret; the others score inf, as a non-interior root does, and cannot
+    change any pick.
+    """
+    ts, rs, interior = _candidates(a, b, (ds.shape[1] - k).astype(float), spare, s_inv)
+    if dense:
+        need = np.ones(ts.shape, dtype=bool)
+    else:
+        need = _near_best(ds, row, k, ts, rs, int(rho), interior)
+    rows, ks = np.broadcast_to(row, ts.shape), np.broadcast_to(k, ts.shape)
+    reg = np.full(ts.shape, math.inf)
+    reg[need] = _dense_regrets(ds, rows[need], ks[need], ts[need], rs[need], rho)
+    return _pick(ts, rs, reg, interior)
+
+
+def _first_best(row: np.ndarray, m: int, reg: np.ndarray, rooted: np.ndarray) -> np.ndarray:
+    """Per row of m: the first interval tied with its best that holds its root, else the first tied.
+
+    The r(T) = T crossing is unique, so at most one tied interval holds it.
+    """
+    best = np.full(m, math.inf)
+    np.minimum.at(best, row, reg)
+    tied = reg <= best[row] + _TIE_TOL * (1.0 + np.abs(best[row]))
+    n = row.size
+    rank = np.where(tied & rooted, 0, np.where(tied, 1, 2)) * n + np.arange(n)
+    first = np.full(m, 3 * n)
+    np.minimum.at(first, row, rank)
+    return first % n
 
 
 def _optimize_ladder(
@@ -405,12 +451,13 @@ def _optimize_ladder(
     tolerance: on a single-member plateau the regret is constant, and an
     endpoint must not displace the r = T point by an ulp.  Within tolerance
     the root wins, then the leftmost candidate, keeping ties deterministic.
-    Only the candidates :func:`_near_best` keeps get their dense regret,
-    except in small solves: with at most 4096 dense terms (candidates times
-    members) the moment filter costs more than the dense sum it would save,
-    so every candidate is scored densely.  The pick is the same either way.
-    A t_hat at or past the largest demand means capacity covers demand up
-    to rounding: the plan is then no throttling, (inf, inf, 0.0).
+    The ladder runs through the row scan's code as a single row.  Only the
+    candidates :func:`_near_best` keeps get their dense regret, except in
+    small solves: with at most 4096 dense terms (candidates times members)
+    the moment filter costs more than the dense sum it would save, so every
+    candidate is scored densely.  The pick is the same either way.  A t_hat
+    at or past the largest demand means capacity covers demand up to
+    rounding: the plan is then no throttling, (inf, inf, 0.0).
     """
     if lad.t_hat >= lad.ds[-1]:
         return math.inf, math.inf, 0.0, []
@@ -421,24 +468,11 @@ def _optimize_ladder(
     a, b, k = _intervals(lad)
     live = lad.n - k > 0
     a, b, k = a[live], b[live], k[live]
-    ts, rs, interior = _candidates(
-        a, b, (lad.n - k).astype(float), lad.capacity - lad.prefix[k], lad.suf_inv[k]
-    )
-    # candidates that cannot decide the pick score inf, as a non-interior root does
-    ks = np.broadcast_to(k, ts.shape)
-    if want_intervals or not float(rho).is_integer() or ts.size * lad.n <= _DENSE_TERMS:
-        need = np.ones(ts.shape, dtype=bool)
-    else:
-        need = _near_best(lad, ks, ts, rs, int(rho), interior)
-    reg = np.full(ts.shape, math.inf)
-    reg[need] = lad.regret_vec(ks[need], ts[need], rs[need], rho)
-    t_best, r_best, reg_best, pick_loc = _pick(ts, rs, reg, interior)
-
-    best = float(reg_best.min())
-    tied = reg_best <= best + _TIE_TOL * (1.0 + abs(best))
-    rooted = tied & pick_loc
-    # the r(T) = T crossing is unique, so at most one tied interval holds it
-    i = int(np.argmax(rooted)) if rooted.any() else int(np.argmax(tied))
+    row = np.zeros(k.size, dtype=np.intp)
+    dense = want_intervals or not float(rho).is_integer() or 3 * k.size * lad.n <= _DENSE_TERMS
+    t_best, r_best, reg_best, pick_loc = _interval_picks(
+        lad.ds[None], row, a, b, k, lad.capacity - lad.prefix[k], lad.suf_inv[k], rho, dense)
+    i = int(_first_best(row, 1, reg_best, pick_loc)[0])
     records: list[IntervalResult] = []
     if want_intervals:
         records = [
@@ -494,20 +528,26 @@ def _optimize_rows(
     """:func:`optimize_demands` of every row: (t, r, regret) arrays, bit for bit.
 
     ``rows`` is (m, s), one demand set per row, and ``capacities`` (m,).
-    Every candidate is scored densely, so this pays off for many small
-    rows; rows are scanned in chunks whose largest temporary, the dense
-    candidate sums, stays near :data:`_CHUNK_TERMS` terms.
+    The :data:`_DENSE_TERMS` rule is judged from the row size: a row has at
+    most 2 s + 1 intervals of three candidates, and rows whose candidates
+    could all be summed densely in that many terms are, while larger rows of
+    integer rho go through the moment filter.  Rows are scanned in chunks
+    whose largest temporary stays near :data:`_CHUNK_TERMS` terms: the dense
+    candidate sums, s terms each, or the filter's 2 rho + 1 moment terms a
+    candidate, whose few dense re-scores are chunked on their own.
     """
     rows = np.asarray(rows, dtype=float)
     capacities = np.asarray(capacities, dtype=float)
     m, s = rows.shape
     t, r, reg = np.full(m, math.inf), np.full(m, math.inf), np.zeros(m)
     todo = np.flatnonzero(capacities < rows.sum(axis=1))
-    # at most 2 s + 1 intervals a row, three candidates each, s terms a sum
-    chunk = max(1, _CHUNK_TERMS // max(3 * (2 * s + 1) * s, 1))
+    candidates = 3 * (2 * s + 1)
+    dense = not float(rho).is_integer() or candidates * s <= _DENSE_TERMS
+    per_row = candidates * (s if dense else 2 * int(rho) + 1)
+    chunk = max(1, _CHUNK_TERMS // max(per_row, 1))
     for lo in range(0, todo.size, chunk):
         part = todo[lo : lo + chunk]
-        t[part], r[part], reg[part] = _scan_rows(rows[part], capacities[part], rho)
+        t[part], r[part], reg[part] = _scan_rows(rows[part], capacities[part], rho, dense)
     return t, r, reg
 
 
@@ -554,7 +594,11 @@ class _RowLadders:
         """
         ds, t_hat = self.ds, self.t_hat
         m, s = ds.shape
-        k = np.count_nonzero(ds[:, None, :] <= ds[:, :, None], axis=2)
+        # the count of ds <= d_i is one past the end of d_i's run of equal values
+        cols = np.arange(1, s + 1)
+        last = np.ones((m, s), dtype=bool)
+        last[:, :-1] = ds[:, 1:] != ds[:, :-1]
+        k = np.minimum.accumulate(np.where(last, cols, s)[:, ::-1], axis=1)[:, ::-1]
         k0 = np.count_nonzero(ds <= t_hat[:, None], axis=1)
         t_in, good, out = _kick_masks(
             ds, k, np.take_along_axis(self.prefix, k, axis=1),
@@ -580,15 +624,15 @@ class _RowLadders:
 
 
 def _scan_rows(
-    rows: np.ndarray, caps: np.ndarray, rho: float
+    rows: np.ndarray, caps: np.ndarray, rho: float, dense: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_optimize_ladder`'s dense scan of rows whose caps lie below their sums.
+    """:func:`_optimize_ladder`'s scan of rows whose caps lie below their sums.
 
     Rows with t_hat <= 0 are planned T = r = 0, at regret s, and rows with
     t_hat at or past their largest demand are not throttled.  The other
     rows' intervals run flat, tagged by row, through the single scan's
-    candidate and pick code, with each candidate's dense regret summed over
-    its own row.
+    candidate, filter and pick code, each candidate's dense regret summed
+    over its own row and each row's filter against its own tie bar.
     """
     m, s = rows.shape
     lad = _RowLadders.build(rows, caps)
@@ -602,21 +646,9 @@ def _scan_rows(
     row, a, b, k = lad.intervals()
     open_ = s - k > 0
     row, a, b, k = row[open_], a[open_], b[open_], k[open_]
-    ts, rs, interior = _candidates(
-        a, b, (s - k).astype(float), lad.caps[row] - lad.prefix[row, k], lad.suf_inv[row, k]
-    )
-    regs = _dense_regret(lad.ds[np.tile(row, 3)], np.tile(k, 3), ts.ravel(), rs.ravel(), rho)
-    t_best, r_best, reg_best, pick_loc = _pick(ts, rs, regs.reshape(3, -1), interior)
-
-    # per row: the first tied interval holding its root, else the first tied one
-    best = np.full(live.size, math.inf)
-    np.minimum.at(best, row, reg_best)
-    tied = reg_best <= best[row] + _TIE_TOL * (1.0 + np.abs(best[row]))
-    n_int = row.size
-    rank = np.where(tied & pick_loc, 0, np.where(tied, 1, 2)) * n_int + np.arange(n_int)
-    first = np.full(live.size, 3 * n_int)
-    np.minimum.at(first, row, rank)
-    i = first % n_int
+    t_best, r_best, reg_best, pick_loc = _interval_picks(
+        lad.ds, row, a, b, k, lad.caps[row] - lad.prefix[row, k], lad.suf_inv[row, k], rho, dense)
+    i = _first_best(row, live.size, reg_best, pick_loc)
     t[live], r[live], reg[live] = t_best[i], r_best[i], reg_best[i]
     return t, r, reg
 
@@ -641,7 +673,7 @@ def threshold_curve(
     grid = np.arange(0.0, lad.t_hat, step)
     grid = np.append(grid, lad.t_hat)
     k, r = lad.fixed_point_vec(grid)
-    reg = lad.regret_vec(k, grid, r, params.rho)
+    reg = _dense_regrets(lad.ds[None], np.zeros(k.size, dtype=np.intp), k, grid, r, params.rho)
     return np.column_stack((grid, r, reg))
 
 

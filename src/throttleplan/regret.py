@@ -65,6 +65,17 @@ def user_regret(user: UserProfile, plan: Plan, params: RegretParams) -> float:
     return _regret(user.rate, user.activity, plan, params)
 
 
+def _regrets(d, gate, threshold, rate, params: RegretParams) -> np.ndarray:
+    """:func:`_regret` of demand and gate columns, 0 where unthrottled.
+
+    ``threshold`` and ``rate`` are one plan's or one per user.
+    """
+    hot = _throttled_mask(d, gate, threshold, rate)
+    rate_term = np.clip(1.0 - rate / gate, 0.0, None)
+    time_term = np.clip(1.0 - threshold / d, 0.0, None)
+    return np.where(hot, rate_term**params.rho * time_term**params.tau, 0.0)
+
+
 def aggregate_regret(pop: Population, plan: Plan, params: RegretParams) -> float:
     """Sum of user regrets over the population."""
     d = pop.demands
@@ -72,11 +83,7 @@ def aggregate_regret(pop: Population, plan: Plan, params: RegretParams) -> float
     hot = _throttled_mask(d, gate, plan.threshold, plan.rate)
     if not hot.any():
         return 0.0
-    rate_term = 1.0 - plan.rate / gate[hot]
-    time_term = 1.0 - plan.threshold / d[hot]
-    np.clip(rate_term, 0.0, None, out=rate_term)
-    np.clip(time_term, 0.0, None, out=time_term)
-    return float(np.sum(rate_term**params.rho * time_term**params.tau))
+    return float(np.sum(_regrets(d, gate, plan.threshold, plan.rate, params)[hot]))
 
 
 def tiered_user_regret(

@@ -28,6 +28,15 @@ summation order, and the power another 1e-9 for its rounding
 (:func:`_join_floor`).  A deviation moves a user only if it strictly
 beats the best option so far, and a skipped one provably cannot, so every
 move, plan and report is the same as with every deviation solved.
+
+The Stackelberg deviations that are solved are read off a per-round table
+(:class:`_JoinPlans`): tier b's plan for its members joined by user u.  Such
+a plan depends only on b's members and share, and shares are fixed for a
+round, so b's table is cleared only when a move changes b's members, that
+is for both the source and the target tier of every move.  A miss solves u
+together with the next users whose floor for b lies below their current
+regret, in one row batch; every row is the single solve's plan bit for bit,
+so the table changes no move.
 """
 
 from __future__ import annotations
@@ -45,13 +54,17 @@ from .allocation import Mode, Plan, _check_capacity, _zero_rate_bound
 from .download import _check_grid_size, _check_params, _optimize_rows, optimize_demands
 from .errors import InfeasibleError, ThrottlePlanError, ValidationError
 from .population import DEFAULT_SEED, Population, assign_tiers_binomial
-from .regret import DEFAULT_RHO, RegretParams, _regret, tiered_aggregate_regret
+from .regret import DEFAULT_RHO, RegretParams, _regret, _regrets, tiered_aggregate_regret
 
 ENUMERATION_CAP = 20
 SWEEP_STEP = 0.01
 MAX_ITERS = 100
 #: Member subsets of one size planned together in one row batch.
 _SUBSET_BLOCK = 1 << 14
+#: Rows of the first deviation batch a Stackelberg tier table solves after it
+#: is cleared; each further miss doubles the batch, up to the cap.
+_JOIN_BATCH = 4
+_JOIN_BATCH_CAP = 64
 
 # (tier index, its ascending member indices) -> the tier's download plan at its share
 PlanFn = Callable[[int, tuple[int, ...]], Plan]
@@ -175,20 +188,30 @@ def optimize_tier(
     return _download_plan(pop.demands, members, share, params.rho)
 
 
+def _covered_at_share(t, r, share):
+    """Tier plan (T, r) from a download solve's (t, r): a covered tier is planned T = r = share.
+
+    The solve plans a tier no throttling, t = r = inf, when its share covers
+    the members' demand, exactly or up to rounding (t_hat at or past the
+    largest demand).  Scalars or arrays alike.
+    """
+    covered = np.isinf(t)
+    return np.where(covered, share, t), np.where(covered, share, r)
+
+
 def _download_plan(demands: np.ndarray, members: tuple[int, ...], share: float, rho: float) -> Plan:
-    """The one path from a tier's members (ascending) and share to its plan.
+    """The one single-solve path from a tier's members (ascending) and share to its plan.
 
     Empty tiers get the zero plan; a share covering the members' demand gets
     the no-throttling convention T = r = share.  The two-tier enumeration
-    reads the same plans off a :class:`_SubsetPlans` table instead.
+    and the Stackelberg deviations read the same plans, bit for bit, off
+    their row-batched tables (:class:`_SubsetPlans`, :class:`_JoinPlans`).
     """
     if not members:
         return Plan(0.0, 0.0, Mode.DOWNLOAD)
-    d = demands[list(members)]
-    if share >= float(d.sum()):
-        return Plan(share, share, Mode.DOWNLOAD)
-    t, r, _ = optimize_demands(d, share, rho)
-    return Plan(t, r, Mode.DOWNLOAD)
+    t, r, _ = optimize_demands(demands[list(members)], share, rho)
+    t, r = _covered_at_share(t, r, share)
+    return Plan(float(t), float(r), Mode.DOWNLOAD)
 
 
 def _share_plans(demands: np.ndarray, shares: Sequence[float], rho: float) -> PlanFn:
@@ -224,19 +247,18 @@ def _zero_rate_threshold(demands: np.ndarray, members: Sequence[int], share: flo
     return _zero_rate_bound(ds, prefix, share)
 
 
-def _join_floor(price_term: float, t_hat: float, demand: float, exponent: float) -> float:
+def _join_floor(price_term: float, t_hat: float, demand, exponent: float):
     """Lower bound on the regret of a user of this demand joining a tier.
 
     ``t_hat`` is the tier's zero-rate threshold before the join and
     ``exponent`` is rho + tau.  It holds for any plan of the grown tier with
     t and r at most t_hat (1 + 1e-9).  :func:`_download_plan`'s plans are
     such plans: the scan keeps t and r within the grown tier's own t_hat,
-    and joining only lowers t_hat.
+    and joining only lowers t_hat.  ``demand`` is one demand or a column.
     """
     edge = t_hat * (1.0 + 1e-9)
-    if not demand > edge:
-        return price_term
-    return price_term + (1.0 - edge / demand) ** exponent * (1.0 - 1e-9)
+    gap = np.clip(1.0 - edge / demand, 0.0, None)
+    return price_term + gap**exponent * (1.0 - 1e-9)
 
 
 def _total_regret(
@@ -347,8 +369,9 @@ class _SubsetPlans:
     A subset is the bitmask of its members; plan (t[j, mask], r[j, mask]) is
     the subset's plan at tier j's share.  Subsets of one size are solved
     together, up to ``_SUBSET_BLOCK`` at a time, in one
-    :func:`download._optimize_rows` batch for both shares, after the
-    covering rule on their member-order sums.  Two float64 arrays of 2^n
+    :func:`download._optimize_rows` batch for both shares, which reads the
+    covering off their member-order sums as :func:`_download_plan` does.
+    Two float64 arrays of 2^n
     per share keep the table at 32 MB at the enumeration cap.  Called with
     a tier and its members, the table is the split's :data:`PlanFn`.
     """
@@ -373,13 +396,8 @@ class _SubsetPlans:
         tier = np.repeat([0, 1], masks.size)
         mask = np.tile(masks, 2)
         caps = np.asarray(self.shares)[tier]
-        # a covered subset is planned T = r = share
-        covered = caps >= np.tile(rows.sum(axis=1), 2)
-        self.t[tier[covered], mask[covered]] = caps[covered]
-        self.r[tier[covered], mask[covered]] = caps[covered]
-        left = np.flatnonzero(~covered)
-        self.t[tier[left], mask[left]], self.r[tier[left], mask[left]], _ = _optimize_rows(
-            rows[left % masks.size], caps[left], rho)
+        t, r, _ = _optimize_rows(np.tile(rows, (2, 1)), caps, rho)
+        self.t[tier, mask], self.r[tier, mask] = _covered_at_share(t, r, caps)
 
     def __call__(self, tier: int, members: tuple[int, ...]) -> Plan:
         mask = sum(1 << i for i in members)
@@ -579,6 +597,82 @@ def solve_multi_tier(
     return out
 
 
+class _JoinPlans:
+    """One Stackelberg round's deviation table: tier b's plan for its members joined by u.
+
+    ``plans[b]`` maps a user u outside tier b to :func:`_download_plan` of
+    b's members and u at b's share, bit for bit.  Such a plan depends only
+    on b's members and share, and shares are fixed for the round, so a
+    tier's table holds until a move changes its members; :meth:`clear`
+    empties it then.  A miss plans the asked user and the next users the
+    walk may ask for, in one :func:`download._optimize_rows` batch of
+    ``_JOIN_BATCH`` rows, doubled on each further miss up to
+    ``_JOIN_BATCH_CAP``.
+    """
+
+    def __init__(self, demands: np.ndarray, shares: Sequence[float], rho: float):
+        self.demands, self.shares, self.rho = demands, shares, rho
+        self.plans: list[dict[int, Plan]] = [{} for _ in shares]
+        self.batch = [_JOIN_BATCH] * len(shares)
+
+    def clear(self, tier: int) -> None:
+        self.plans[tier].clear()
+        self.batch[tier] = _JOIN_BATCH
+
+    def plan(
+        self, tier: int, user: int, members: list[int], later: Callable[[], np.ndarray]
+    ) -> Plan:
+        """The tier's plan with ``user`` joining its ascending ``members``.
+
+        ``later()`` lists, in walk order, the users after ``user`` likely to
+        ask for the same tier; a miss plans the first of them not yet planned.
+        """
+        plans = self.plans[tier]
+        if user not in plans:
+            users = [user]
+            for v in later().tolist():
+                if len(users) == self.batch[tier]:
+                    break
+                if v not in plans:
+                    users.append(v)
+            self._solve(tier, members, np.array(users))
+            self.batch[tier] = min(2 * self.batch[tier], _JOIN_BATCH_CAP)
+        return plans[user]
+
+    def _solve(self, tier: int, members: list[int], users: np.ndarray) -> None:
+        """Plans each of ``users`` joining the tier, one row of member-order demands each."""
+        s, m = len(members), users.size
+        pos = np.searchsorted(members, users)
+        cols = np.arange(s + 1)
+        src = np.where(cols < pos[:, None], cols, cols - 1)
+        src[np.arange(m), pos] = s + np.arange(m)
+        pool = np.concatenate((self.demands[members], self.demands[users]))
+        share = self.shares[tier]
+        t, r, _ = _optimize_rows(pool[src], np.full(m, share), self.rho)
+        t, r = _covered_at_share(t, r, share)
+        table = self.plans[tier]
+        for v, tv, rv in zip(users.tolist(), t.tolist(), r.tolist()):
+            table[v] = Plan(tv, rv, Mode.DOWNLOAD)
+
+
+def _later_joiners(
+    demands: np.ndarray, tiers: np.ndarray, plans: Sequence[Plan], price_terms: np.ndarray,
+    floor: np.ndarray, tier: int, user: int, params: RegretParams,
+) -> np.ndarray:
+    """Users after ``user``, outside ``tier``, whose join ``floor`` lies below their current regret.
+
+    These are the deviations to the tier the Stackelberg walk may still
+    solve this round, unless a move changes the tier first.
+    """
+    later = slice(user + 1, None)
+    own = tiers[later]
+    d = demands[later]
+    t = np.array([p.threshold for p in plans])[own]
+    r = np.array([p.rate for p in plans])[own]
+    cur = price_terms[own] + _regrets(d, d, t, r, params)
+    return user + 1 + np.flatnonzero((own != tier) & (floor[later] < cur))
+
+
 def stackelberg_iterate(
     pop: Population,
     prices: Sequence[float],
@@ -601,8 +695,19 @@ def stackelberg_iterate(
     A target tier is solved only when :func:`_join_floor`, from the tier's
     zero-rate threshold t_hat, is below the mover's best option so far;
     otherwise its plan cannot beat that option and no solve could move the
-    user (see the module docstring).  Each tier's t_hat is computed at the
-    start of a round and again whenever a move changes the tier.
+    user (see the module docstring).  Each tier's t_hat, and every user's
+    floor from it, is computed at the start of a round and again whenever a
+    move changes the tier.
+
+    The deviation plans come from a :class:`_JoinPlans` table per round.
+    A move clears the tables of both tiers it changes, the source and the
+    target, since their members change and every plan read off them would
+    be stale; the other tiers' tables stay valid.  A miss plans the asked
+    user and the next users after it who may ask the same tier, in one
+    :func:`download._optimize_rows` batch of 4 rows, doubling on each
+    further miss up to 64.  Each row is :func:`_download_plan`'s plan bit for
+    bit, so moves, progress lines and reports are those of one solve per
+    deviation.
 
     ``progress``, if given, is called after each round with
     (iteration, thresholds, moves).
@@ -631,7 +736,7 @@ def stackelberg_iterate(
         return EquilibriumReport(False, 0, assignment, (), math.nan, ())
 
     demands = pop.demands.tolist()
-    price_terms = [params.kappa * p for p in prices]
+    price_terms = np.array([params.kappa * p for p in prices])
     exponent = params.rho + params.tau
     seen = {assignment.tier_of}
     prev_ts: np.ndarray | None = None
@@ -641,6 +746,11 @@ def stackelberg_iterate(
     shares: tuple[float, ...] = ()
     members = assignment.members()
 
+    def floors_of(j: int) -> np.ndarray:
+        """Every user's :func:`_join_floor` for tier j as it stands."""
+        t_hat = _zero_rate_threshold(pop.demands, member_lists[j], shares[j])
+        return _join_floor(price_terms[j], t_hat, pop.demands, exponent)
+
     for _ in range(max_iters):
         iterations += 1
         ts = np.array(solve_multi_tier(pop, assignment, capacity, params), dtype=float)
@@ -649,14 +759,15 @@ def stackelberg_iterate(
             _tier_consumption(d, float(t)) for d, t in zip(tier_demands, ts)
         )
         plans = tuple(Plan(float(t), float(t), Mode.DOWNLOAD) for t in ts)
-        # no memo: fewer than 3% of the (members, share) keys repeat here
+        # the source tiers' re-plans and the final regret, one solve each
         plan = _share_plans(pop.demands, shares, params.rho)
+        joins = _JoinPlans(pop.demands, shares, params.rho)
 
         moves = 0
-        tiers = list(assignment.tier_of)
+        tiers = np.array(assignment.tier_of)
         member_lists = [list(mm) for mm in members]
-        t_hats = [_zero_rate_threshold(pop.demands, mm, c) for mm, c in zip(member_lists, shares)]
         cur_plans = list(plans)
+        floors = [floors_of(j) for j in range(k)]
         for u in range(n):
             a = tiers[u]
             d_u = demands[u]
@@ -665,9 +776,11 @@ def stackelberg_iterate(
                 continue  # cheapest tier, unthrottled: nothing can beat it
             best_dev, best_b, best_plan = price_terms[a] + throttle, None, None
             for b in range(k):
-                if b == a or _join_floor(price_terms[b], t_hats[b], d_u, exponent) >= best_dev:
+                if b == a or floors[b][u] >= best_dev:
                     continue
-                dev, plan_b = _move_regret(d_u, plan, member_lists[b], u, b, prices[b], params)
+                plan_b = joins.plan(b, u, member_lists[b], lambda: _later_joiners(
+                    pop.demands, tiers, cur_plans, price_terms, floors[b], b, u, params))
+                dev = price_terms[b] + _regret(d_u, 1.0, plan_b, params)
                 if dev < best_dev:
                     best_dev, best_b, best_plan = dev, b, plan_b
             if best_b is not None:
@@ -676,11 +789,12 @@ def stackelberg_iterate(
                 cur_plans[a] = plan(a, tuple(member_lists[a]))
                 cur_plans[best_b] = best_plan
                 for j in (a, best_b):
-                    t_hats[j] = _zero_rate_threshold(pop.demands, member_lists[j], shares[j])
+                    floors[j] = floors_of(j)
+                    joins.clear(j)
                 tiers[u] = best_b
                 moves += 1
         members = [tuple(mm) for mm in member_lists]
-        assignment = Assignment(tuple(tiers), k)
+        assignment = Assignment(tuple(tiers.tolist()), k)
         if progress is not None:
             progress(iterations, tuple(float(t) for t in ts), moves)
 

@@ -20,7 +20,9 @@ from throttleplan.download import (
     _intervals,
     _kick_thresholds as _library_kicks,
     _Ladder,
+    _moments,
     _optimize_ladder,
+    _regret_moments,
     optimize_demands,
 )
 
@@ -215,7 +217,7 @@ def test_moment_estimates_bound_every_candidate():
             continue
         rho = int(rng.choice([2, 3, 4]))
         ks, ts, rs, _ = _candidates(lad)
-        est, err = lad.regret_moments(ks, ts, rs, rho)
+        est, err = _regret_moments(lad.ds[None], np.zeros_like(ks), ks, ts, rs, rho)
         dense = _regret_vec(lad, ks, ts, rs, float(rho))
         assert np.all(np.abs(est - dense) <= err), (demands.tolist(), capacity, rho)
         # the bound is informative: most candidates never need the dense sum
@@ -227,7 +229,7 @@ def test_moment_bound_gives_up_where_the_dense_form_clips():
     # the polynomial does not, so the estimate carries no finite bound
     lad = _Ladder(np.array([1.0, 2.0]), 2.5)
     k, ts, rs = np.array([0, 0]), np.array([1.5, 0.5]), np.array([0.0, 0.5])
-    est, err = lad.regret_moments(k, ts, rs, 2)
+    est, err = _regret_moments(lad.ds[None], np.zeros_like(k), k, ts, rs, 2)
     dense = _regret_vec(lad, k, ts, rs, 2.0)
     assert abs(est[0] - dense[0]) > 0.01 and err[0] == math.inf
     assert abs(est[1] - dense[1]) <= err[1] < math.inf
@@ -235,7 +237,7 @@ def test_moment_bound_gives_up_where_the_dense_form_clips():
 
 def test_moment_table_is_the_suffix_sum_of_powers():
     ds = np.array([0.25, 0.5, 2.0, 4.0, 5.0])
-    table = _Ladder(ds[::-1].copy(), 3.0).moments(4)
+    table = _moments(ds[None], 4)
     for m in range(5):
         for k in range(6):
-            assert table[m, 5 - k] == pytest.approx(float(np.sum(ds[k:] ** -m)), rel=1e-15)
+            assert table[m, 0, 5 - k] == pytest.approx(float(np.sum(ds[k:] ** -m)), rel=1e-15)

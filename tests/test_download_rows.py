@@ -1,19 +1,22 @@
 """The row-batched interval scan against the single solve.
 
-``_optimize_rows`` solves many small demand sets at once, for the two-tier
-enumeration's subset table.  Every row must give exactly what
-``optimize_demands`` gives for that row alone: the same (t, r, regret), bit
-for bit, signs of zeros included.  The draws cover tied demands (codec rates
-times percent activities), lognormal demands over many scales, capacities of
-0, inside (0, row sum), one ulp below the row sum, at it and above it, and
-batches that cross the scan's row chunks, under the default budget and under
-budgets shrunk to a few rows a chunk.  The row ladders and their interval
-bounds with suffix starts must equal each single ladder's,
-since a user exactly at a kick threshold consumes and regrets the same in
-or out of the suffix: a wrong count there can hide in the rounding of the
-final pick.
+``_optimize_rows`` solves many demand sets at once, for the two-tier
+enumeration's subset table and the Stackelberg deviation tables.  Every row
+must give exactly what ``optimize_demands`` gives for that row alone: the
+same (t, r, regret), bit for bit, signs of zeros included.  The draws cover
+tied demands (codec rates times percent activities), lognormal demands over
+many scales, capacities of 0, inside (0, row sum), one ulp below the row
+sum, at it and above it, and batches that cross the scan's row chunks,
+under the default budget and under budgets shrunk to a few rows a chunk.
+Small rows are scored densely; rows of 50-250 members, one shared base plus
+one extra demand each as the Stackelberg loop builds them, go through the
+moment filter, which must pick what the dense scan picks with every
+candidate scored, whichever of the two the dense-terms rule selects.  The
+row ladders, their moment tables and their interval bounds with suffix
+starts must equal each single ladder's, since a user exactly at a kick
+threshold consumes and regrets the same in or out of the suffix: a wrong
+count there can hide in the rounding of the final pick.
 """
-
 from unittest import mock
 
 import numpy as np
@@ -24,6 +27,7 @@ from throttleplan import download
 from throttleplan.download import (
     _intervals,
     _Ladder,
+    _moments,
     _optimize_rows,
     _RowLadders,
     optimize_demands,
@@ -107,6 +111,7 @@ def _assert_ladders_match(rows, caps):
         for name in ("ds", "prefix", "suf_inv"):
             assert getattr(ladders, name)[i].tobytes() == getattr(one, name).tobytes(), name
         assert _bits([ladders.t_hat[i]]) == _bits([one.t_hat])
+        assert _moments(ladders.ds, 4)[:, i].tobytes() == _moments(one.ds[None], 4)[:, 0].tobytes()
     live = np.flatnonzero(ladders.t_hat > 0)
     ladders = ladders.take(live)
     row, a, b, k = ladders.intervals()
@@ -116,6 +121,44 @@ def _assert_ladders_match(rows, caps):
         assert a[mine].tobytes() == want_a.tobytes(), (rows[i].tolist(), float(caps[i]))
         assert b[mine].tobytes() == want_b.tobytes(), (rows[i].tolist(), float(caps[i]))
         assert k[mine].tolist() == want_k.tolist(), (rows[i].tolist(), float(caps[i]))
+
+
+@st.composite
+def joined_rows(draw):
+    """One shared base of s - 1 demands plus one extra demand a row, at a random member position.
+
+    Capacities lie mostly inside the row sums, else one ulp below them.
+    """
+    s = draw(st.integers(50, 250))
+    m = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    make = draw(st.sampled_from([_tied_rows, _lognormal_rows]))
+    pool = make(rng, 1, s - 1 + m)[0]
+    base, extra = pool[: s - 1], pool[s - 1 :]
+    rows = np.array([np.insert(base, rng.integers(s), d) for d in extra])
+    sums = np.array([float(row.sum()) for row in rows])
+    # mostly inside the row sum, where the scan runs, else one ulp below it
+    inside = rng.random(m) < 0.8
+    return rows, np.where(inside, sums * rng.uniform(0.05, 0.999, m), np.nextafter(sums, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=joined_rows(), rho=st.sampled_from([2.0, 3.0]),
+    dense_terms=st.sampled_from([0, 10**12]), budget=st.sampled_from([None, 20_000]),
+)
+def test_large_rows_match_the_dense_single_solve(batch, rho, dense_terms, budget):
+    rows, caps = batch
+    with mock.patch.object(download, "_DENSE_TERMS", 10**12):
+        want = [_bits(optimize_demands(row, float(cap), rho)) for row, cap in zip(rows, caps)]
+    terms = download._CHUNK_TERMS if budget is None else budget
+    with mock.patch.object(download, "_DENSE_TERMS", dense_terms), \
+            mock.patch.object(download, "_CHUNK_TERMS", terms):
+        t, r, reg = _optimize_rows(rows, caps, rho)
+        singles = [_bits(optimize_demands(row, float(cap), rho)) for row, cap in zip(rows, caps)]
+    assert singles == want
+    for i, row in enumerate(rows):
+        assert _bits((t[i], r[i], reg[i])) == want[i], (row.tolist(), float(caps[i]), rho)
 
 
 def test_rows_across_the_default_chunk_boundary():

@@ -6,9 +6,12 @@ from scipy.optimize import OptimizeResult
 
 from throttleplan import (
     Assignment,
+    Plan,
+    Population,
     RegretParams,
     ThrottlePlanError,
     TierConfig,
+    UserProfile,
     ValidationError,
     check_equilibrium,
     deviation_regret,
@@ -20,6 +23,7 @@ from throttleplan import (
     sweep_splits,
     tiergame,
 )
+from throttleplan.allocation import Mode
 
 P2 = RegretParams()
 
@@ -75,6 +79,19 @@ def test_optimize_tier_branches(pop4):
         optimize_tier(pop4, (0, 0), 0.5, P2)
     with pytest.raises(ValidationError):
         optimize_tier(pop4, (7,), 0.5, P2)
+
+
+def test_tier_covered_up_to_rounding_is_planned_at_its_share():
+    # the rates sum to one ulp above 4.082: t_hat reaches the largest demand
+    rates = (0.168, 0.228, 0.27, 0.421, 0.423, 0.747, 0.849, 0.976)
+    pop = Population([UserProfile(i, r, 1.0) for i, r in enumerate(rates)])
+    assert 4.082 < pop.demands.sum()
+    want = Plan(4.082, 4.082, Mode.DOWNLOAD)
+    assert optimize_tier(pop, range(8), 4.082, P2) == want
+    table = tiergame._SubsetPlans(pop.demands, (4.082, 1.0), P2.rho)
+    assert table(0, tuple(range(8))) == want
+    joins = tiergame._JoinPlans(pop.demands, (1.0, 4.082), P2.rho)
+    assert joins.plan(1, 3, [0, 1, 2, 4, 5, 6, 7], lambda: np.array([], dtype=int)) == want
 
 
 def test_deviation_regret_worked_instance(pop4, config):
