@@ -118,6 +118,11 @@ def _gate(demands, rates, mode: Mode):
     return demands if mode is Mode.DOWNLOAD else rates
 
 
+def _throttled_activity(activities: np.ndarray, mode: Mode) -> np.ndarray:
+    """The y of throttled users in T + r * y * (1 - T / d): 1 for downloads, x for streams."""
+    return np.ones(activities.size) if mode is Mode.DOWNLOAD else activities
+
+
 def _throttled_mask(demands, gate, threshold: float, rate: float):
     """Whether each user is throttled: demand above the threshold, gate above the rate.
 
@@ -152,7 +157,7 @@ def _consumption_arrays(
     if not hot.any():
         return float(demands.sum())
     d_hot = demands[hot]
-    y = np.ones(d_hot.size) if mode is Mode.DOWNLOAD else activities[hot]
+    y = _throttled_activity(activities[hot], mode)
     capped = threshold + rate * y * (1.0 - threshold / d_hot)
     return float(demands[~hot].sum() + capped.sum())
 
@@ -276,14 +281,14 @@ def threshold_for_rate(
         return 0.0  # nobody can be throttled; consumption is within tolerance anyway
     idx = idx[np.argsort(d[idx], kind="stable")]
     ds = d[idx]
-    ry = rate * (1.0 if mode is Mode.DOWNLOAD else x[idx])
+    ry = rate * _throttled_activity(x[idx], mode)
     # with users idx[k:] throttled, consumption is a[k] + b[k] * T
     k = _tight_segment(
         ds, pop.total_demand - _suffix_sums(ds - ry), _suffix_sums(1.0 - ry / ds), capacity
     )
     hot = _throttled_mask(d, gate, float(ds[k - 1]) if k else 0.0, rate)
     d_hot = d[hot]
-    y = np.ones(d_hot.size) if mode is Mode.DOWNLOAD else x[hot]
+    y = _throttled_activity(x[hot], mode)
     denom = float(np.sum(1.0 - rate * y / d_hot))
     if denom <= 0:
         return 0.0  # rounding flattened the segment: T no longer moves consumption
@@ -316,7 +321,7 @@ def rate_for_threshold(
         return 0.0  # everyone already fits at this threshold
     idx = idx[np.argsort(gate[idx], kind="stable")]
     ds = d[idx]
-    y = 1.0 if mode is Mode.DOWNLOAD else x[idx]
+    y = _throttled_activity(x[idx], mode)
     # with users idx[k:] throttled, consumption is a[k] + b[k] * r
     k = _tight_segment(
         gate[idx],
@@ -326,7 +331,7 @@ def rate_for_threshold(
     )
     hot = _throttled_mask(d, gate, threshold, float(gate[idx[k - 1]]) if k else 0.0)
     d_hot = d[hot]
-    y_hot = np.ones(d_hot.size) if mode is Mode.DOWNLOAD else x[hot]
+    y_hot = _throttled_activity(x[hot], mode)
     spare = capacity - float(d[~hot].sum()) - threshold * d_hot.size
     denom = float(np.sum(y_hot * (1.0 - threshold / d_hot)))
     if denom <= 0:

@@ -6,14 +6,24 @@ active, in the same units as link capacity), an activity ratio in (0, 1]
 multi-tier plans.  A population stores its users as columns sorted by rate
 ascending, so downstream code can rely on the ordering and read whole
 columns at once.
+
+The CSV codec works on columns too.  The writer formats a chunk of rows
+at a time, and each distinct rate, activity or tier of a chunk once.  The
+reader parses the rows in one ``np.loadtxt`` pass; a file that pass
+refuses, or whose columns fail validation, is read again by a row loop
+with ``csv`` and Python's ``int``/``float``, which words every error with
+its line and also accepts the few valid spellings numpy does not (see
+:func:`load_population`).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -158,48 +168,126 @@ class Population:
         return Population._from_columns(self.ids, self.rates, self.activities, tiers)
 
 
+#: Rows the writer formats per write: enough to amortize the per-chunk work,
+#: few enough that the chunk's text stays small next to the columns.
+_WRITE_CHUNK = 65_536
+
+_HEADER = ["id", "rate", "activity", "tier"]
+
+#: Bytes numpy's number parsing strips as whitespace where int() and float() refuse them.
+_NUMPY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+#: Row layout of the columnar parse; tiers stay text until checked for blanks.
+_CSV_DTYPE = [("id", np.int64), ("rate", np.float64), ("activity", np.float64),
+              ("tier", object)]
+
+
+def _texts(col: np.ndarray, word: Callable) -> list[str]:
+    """``word(v)`` for each entry of ``col``, called once per distinct value.
+
+    Distinct values are found by ``np.unique``, which counts -0.0 and 0.0
+    as one value although their reprs differ; that is safe here only
+    because rates and activities are validated positive and tiers are
+    integers.
+    """
+    values, inverse = np.unique(col, return_inverse=True)
+    return np.array([word(v) for v in values.tolist()], dtype=object)[inverse].tolist()
+
+
+def _tier_word(tier: int) -> str:
+    return "" if tier == _NO_TIER else str(tier)
+
+
 def save_population(pop: Population, path) -> None:
-    """Write a population as CSV with header ``id,rate,activity,tier``."""
+    """Write a population as CSV with header ``id,rate,activity,tier``.
+
+    Floats are written with ``repr`` (they read back exactly) and a missing
+    tier as an empty field, as ``csv.writer`` writes them.
+    """
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "rate", "activity", "tier"])
-        # csv writes Python floats with repr (they read back exactly) and None as ""
-        writer.writerows(
-            zip(pop.ids.tolist(), pop.rates.tolist(), pop.activities.tolist(), pop.tiers()))
+        fh.write(",".join(_HEADER) + "\n")
+        for lo in range(0, len(pop), _WRITE_CHUNK):
+            part = slice(lo, lo + _WRITE_CHUNK)
+            fh.write("".join(
+                f"{i},{r},{a},{t}\n" for i, r, a, t in zip(
+                    pop.ids[part].tolist(), _texts(pop.rates[part], repr),
+                    _texts(pop.activities[part], repr), _texts(pop._tiers[part], _tier_word))))
+
+
+def _check_header(header: list[str] | None) -> None:
+    if header is None:
+        raise ParseError("empty file", line=1)
+    if [h.strip() for h in header] != _HEADER:
+        raise ParseError(f"expected header id,rate,activity,tier, got {','.join(header)}", line=1)
+
+
+def _text(data: bytes) -> io.TextIOWrapper:
+    """The file's text as ``open(path, newline="")`` decodes it."""
+    return io.TextIOWrapper(io.BytesIO(data), newline="")
+
+
+def _load_columns(fh) -> Population:
+    """Check the header, then parse the rows in one pass; raises on any bad field."""
+    _check_header(next(csv.reader(fh), None))
+    first = next((line for line in fh if not line.isspace()), None)
+    if first is None:  # loadtxt warns on a body without data; the row loop words the error
+        raise ValueError("no rows")
+    cols = np.loadtxt(chain([first], fh), delimiter=",", dtype=_CSV_DTYPE, comments=None,
+                      quotechar='"', ndmin=1)
+    tiers = cols["tier"]
+    tiers = [int(t) if t.strip() else None for t in tiers] if any(map(str.strip, tiers)) else None
+    return Population._from_columns(cols["id"], cols["rate"], cols["activity"], tiers)
+
+
+def _load_rows(fh) -> Population:
+    """Parse the file row by row; words every error with its line number."""
+    ids, rates, activities, lines = array("q"), array("d"), array("d"), array("q")
+    tiers: list[int | None] = []
+    reader = csv.reader(fh)
+    _check_header(next(reader, None))
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 4:
+            raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
+        try:
+            ids.append(int(row[0]))
+            rates.append(float(row[1]))
+            activities.append(float(row[2]))
+            tiers.append(int(row[3]) if row[3].strip() else None)
+            lines.append(lineno)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        except OverflowError:
+            raise ParseError(f"id {row[0].strip()} does not fit in int64", line=lineno) from None
+    line_of = lines.__getitem__ if lines else lambda row: 2  # no rows: where the first belongs
+    return Population._from_columns(ids, rates, activities, tiers, line_of=line_of)
 
 
 def load_population(path) -> Population:
     """Read a population CSV written by :func:`save_population`.
 
+    The rows after the header are parsed in one columnar pass
+    (``np.loadtxt``).  Where that pass refuses the file or its columns fail
+    validation, the file is read again row by row with ``csv`` and Python's
+    ``int``/``float``, and that row loop words the error.  The row loop also
+    reads the valid files numpy refuses, such as ``1_0`` digits,
+    whitespace-only lines or lone carriage-return line ends.  Only ASCII
+    text free of the control characters 0x1c-0x1f takes the columnar pass:
+    numpy strips those as whitespace where ``int``/``float`` refuse them,
+    and misreads non-ASCII digits.  Where both passes accept a file they
+    read the same values.
+
     Raises :class:`ParseError` with a 1-based line number on malformed rows.
     """
-    ids, rates, activities, lines = array("q"), array("d"), array("d"), array("q")
-    tiers: list[int | None] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.isascii() and not any(sep in data for sep in _NUMPY_SPACES):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if [h.strip() for h in header] != ["id", "rate", "activity", "tier"]:
-            raise ParseError(f"expected header id,rate,activity,tier, got {','.join(header)}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
-            try:
-                ids.append(int(row[0]))
-                rates.append(float(row[1]))
-                activities.append(float(row[2]))
-                tiers.append(int(row[3]) if row[3].strip() else None)
-                lines.append(lineno)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            except OverflowError:
-                raise ParseError(f"id {row[0].strip()} does not fit in int64", line=lineno) from None
-    line_of = lines.__getitem__ if lines else lambda row: 2  # no rows: where the first belongs
-    return Population._from_columns(ids, rates, activities, tiers, line_of=line_of)
+            return _load_columns(_text(data))
+        except (ValueError, OverflowError, ValidationError):
+            pass  # the row loop words the error or reads what numpy refused
+    return _load_rows(_text(data))
 
 
 def _check_seed(seed: int) -> None:

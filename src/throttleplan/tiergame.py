@@ -48,7 +48,6 @@ from itertools import chain, combinations, islice
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .allocation import Mode, Plan, _check_capacity, _zero_rate_bound
 from .download import _check_grid_size, _check_params, _optimize_rows, optimize_demands
@@ -545,6 +544,9 @@ def solve_multi_tier(
         t, _, _ = optimize_demands(tier_demands[j], capacity, params.rho)
         out[j] = clamp(j, t)
         return out
+
+    # imported here: scipy.optimize costs about 0.5 s and 40 MB that only this solve needs
+    from scipy.optimize import brentq, minimize
 
     lo, hi = float(pop.demands.min()), float(pop.demands.max())
     ds = [tier_demands[j] for j in active]

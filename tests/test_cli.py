@@ -1,9 +1,13 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import throttleplan
 from throttleplan import (
     Mode,
     Plan,
@@ -30,6 +34,15 @@ def write_pop(pop, tmp_path, name="pop.csv"):
     path = tmp_path / name
     save_population(pop, path)
     return path
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # only the joint leader solve imports it, on first use
+    src = os.path.dirname(os.path.dirname(throttleplan.__file__))
+    probe = "import sys, throttleplan.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_generate_lognormal(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeResult
 
 from throttleplan import (
@@ -207,7 +208,7 @@ def test_solve_multi_tier_raises_when_slsqp_fails(pop4, monkeypatch):
             message="Positive directional derivative for linesearch",
         )
 
-    monkeypatch.setattr(tiergame, "minimize", failing_minimize)
+    monkeypatch.setattr(scipy.optimize, "minimize", failing_minimize)
     nash = Assignment.from_class_id("0111", 2)
     with pytest.raises(ThrottlePlanError, match="Positive directional derivative for linesearch"):
         solve_multi_tier(pop4, nash, 1.8, P2)
