@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import math
 import sys
 import time
@@ -33,11 +34,11 @@ from .streaming import CodecSet, optimize_streaming, streaming_curve
 from .tiergame import TierConfig, stackelberg_iterate, sweep_splits
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
+def _load(path: str) -> tuple[Population, str]:
+    """The population in ``path`` and the digest of the bytes it was parsed from."""
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:12]
+        data = fh.read()
+    return load_population(io.BytesIO(data)), hashlib.sha256(data).hexdigest()[:12]
 
 
 def _echo(cmd: str, **fields) -> None:
@@ -116,10 +117,10 @@ def _write_curve(path: str, rows: np.ndarray) -> None:
 
 def cmd_optimize(args) -> int:
     t0 = time.perf_counter()
-    pop = load_population(args.pop)
+    pop, digest = _load(args.pop)
     cap = _resolve_capacity(args, pop)
     params = RegretParams(rho=args.rho, tau=args.tau)
-    _echo("optimize", pop=args.pop, digest=_digest(args.pop), mode=args.mode,
+    _echo("optimize", pop=args.pop, digest=digest, mode=args.mode,
           capacity=f"{cap:.6f}", rho=args.rho)
     if cap >= pop.total_demand:
         print("no throttling needed: capacity covers total demand")
@@ -159,11 +160,11 @@ def cmd_optimize(args) -> int:
 
 def cmd_tiers(args) -> int:
     t0 = time.perf_counter()
-    pop = load_population(args.pop)
+    pop, digest = _load(args.pop)
     cap = _resolve_capacity(args, pop)
     prices = tuple(float(p) for p in args.prices.split(","))
     params = RegretParams(rho=args.rho, kappa=args.kappa)
-    _echo("tiers", sub=args.game, pop=args.pop, digest=_digest(args.pop),
+    _echo("tiers", sub=args.game, pop=args.pop, digest=digest,
           prices=args.prices, kappa=args.kappa, capacity=f"{cap:.6f}")
     if len(prices) == 1:
         # a single tier is just the plain optimizer
@@ -239,7 +240,7 @@ def _parse_plan(text: str, mode: Mode) -> Plan:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
-    pop = load_population(args.pop)
+    pop, digest = _load(args.pop)
     cap = _resolve_capacity(args, pop)
     mode = Mode.DOWNLOAD if args.mode == "download" else Mode.STREAMING
     params = RegretParams(rho=args.rho)
@@ -260,7 +261,7 @@ def cmd_simulate(args) -> int:
         plan=plan, horizon_days=args.days, diurnal=args.diurnal, seed=args.seed,
         record_states=args.states,
     )
-    _echo("simulate", pop=args.pop, digest=_digest(args.pop), mode=args.mode,
+    _echo("simulate", pop=args.pop, digest=digest, mode=args.mode,
           capacity=f"{cap:.6f}", days=args.days, diurnal=args.diurnal, seed=args.seed)
     throttled = simulate(pop, config)
     unthrottled = throttled.unthrottled

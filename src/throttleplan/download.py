@@ -127,8 +127,16 @@ _TIE_TOL = 1e-12
 #: score every candidate densely: below it the moment filter costs more.
 _DENSE_TERMS = 4096
 
-#: Most terms a dense regret batch materializes at once.
+#: Most terms a row batch of the scan materializes at once.
 _CHUNK_TERMS = 1_000_000
+
+#: Terms of one block of :func:`_dense_regrets`: its two float buffers then
+#: take 512 kB each and stay in a 4 MB L2 cache.  On a 2-vCPU Xeon host
+#: (numpy 2.4, rho = 2, best of 7) the sum of a 4,000-member, 1,001-point
+#: curve took 19 ms at 2^16 terms a block, 20-21 ms at 2^15 and 2^17,
+#: 22-24 ms at 2^13, 2^14 and 2^18, and 49-58 ms in million-term chunks of
+#: fresh arrays.
+_BLOCK_TERMS = 2**16
 
 
 def _dense_regrets(
@@ -138,19 +146,38 @@ def _dense_regrets(
 
     ``ds`` holds sorted demand rows (m, s); a single row (m = 1) is shared
     by every candidate, not gathered.  Each sum runs over all s columns,
-    zeros outside the suffix, so every candidate's sum has the same shape.
-    Chunked so no more than :data:`_CHUNK_TERMS` terms exist at once.
+    zeros outside the suffix, so every candidate's sum has the same shape:
+    numpy's pairwise reduction of a full row.  Candidates go in blocks of
+    about :data:`_BLOCK_TERMS` terms, at least one candidate a block,
+    through two float buffers and a mask written in place: a member's term
+    is max(1 - r/d, 0) max(1 - t/d, 0), dividing by d, raised to rho by the
+    same scalar power as ``term**rho`` (rho = 2 squares), and the columns
+    before the suffix start are zeroed after it.
     """
     m, s = ds.shape
     out = np.empty(ts.size)
-    chunk = max(1, _CHUNK_TERMS // max(s, 1))
-    for lo in range(0, ts.size, chunk):
-        part = slice(lo, lo + chunk)
-        mine = ds if m == 1 else ds[row[part]]
-        mask = np.arange(s) >= k[part, None]
-        term = np.clip(1.0 - rs[part, None] / mine, 0.0, None)
-        term *= np.clip(1.0 - ts[part, None] / mine, 0.0, None)
-        out[part] = np.sum(np.where(mask, term**rho, 0.0), axis=1)
+    block = max(1, _BLOCK_TERMS // max(s, 1))
+    size = min(block, ts.size)
+    term_buf, other_buf = np.empty((size, s)), np.empty((size, s))
+    skip_buf = np.empty((size, s), dtype=bool)
+    cols = np.arange(s)
+    for lo in range(0, ts.size, block):
+        n = min(block, ts.size - lo)
+        part = slice(lo, lo + n)
+        term, other, skip = term_buf[:n], other_buf[:n], skip_buf[:n]
+        # the rows are the scan's own indices; "clip" gathers without the
+        # bounds-checked copy that "raise" makes into a temporary
+        mine = ds if m == 1 else np.take(ds, row[part], axis=0, out=other, mode="clip")
+        np.divide(rs[part, None], mine, out=term)
+        np.divide(ts[part, None], mine, out=other)
+        for buf in (term, other):
+            np.subtract(1.0, buf, out=buf)
+            np.maximum(buf, 0.0, out=buf)
+        term *= other
+        term **= rho
+        np.less(cols, k[part, None], out=skip)
+        np.copyto(term, 0.0, where=skip)
+        out[part] = term.sum(axis=1)
     return out
 
 
@@ -532,9 +559,9 @@ def _optimize_rows(
     most 2 s + 1 intervals of three candidates, and rows whose candidates
     could all be summed densely in that many terms are, while larger rows of
     integer rho go through the moment filter.  Rows are scanned in chunks
-    whose largest temporary stays near :data:`_CHUNK_TERMS` terms: the dense
-    candidate sums, s terms each, or the filter's 2 rho + 1 moment terms a
-    candidate, whose few dense re-scores are chunked on their own.
+    of about :data:`_CHUNK_TERMS` candidate terms: s each for the dense
+    sums, which :func:`_dense_regrets` then runs in blocks, or the filter's
+    2 rho + 1 moment terms.
     """
     rows = np.asarray(rows, dtype=float)
     capacities = np.asarray(capacities, dtype=float)

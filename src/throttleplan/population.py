@@ -267,6 +267,8 @@ def _load_rows(fh) -> Population:
 def load_population(path) -> Population:
     """Read a population CSV written by :func:`save_population`.
 
+    ``path`` is a file path or a binary file object, read to its end.
+
     The rows after the header are parsed in one columnar pass
     (``np.loadtxt``).  Where that pass refuses the file or its columns fail
     validation, the file is read again row by row with ``csv`` and Python's
@@ -280,8 +282,11 @@ def load_population(path) -> Population:
 
     Raises :class:`ParseError` with a 1-based line number on malformed rows.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    if hasattr(path, "read"):
+        data = path.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     if data.isascii() and not any(sep in data for sep in _NUMPY_SPACES):
         try:
             return _load_columns(_text(data))

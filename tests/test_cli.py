@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -135,6 +136,35 @@ def test_non_finite_capacity_exits_2(pop4, tmp_path, command, flag, value):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: {flag} must be a finite number, got {value}"]
+
+
+@pytest.mark.parametrize("command", sorted(NON_FINITE_ARGV))
+def test_digest_is_the_population_file_sha256(pop4, tmp_path, command):
+    path = write_pop(pop4, tmp_path)
+    argv = NON_FINITE_ARGV[command] + ["--pop", path, "--capacity", 1.8]
+    if command == "simulate":
+        argv += ["--out-prefix", tmp_path / "x"]
+    code, out, _ = run(argv)
+    assert code == 0
+    want = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+    assert f" pop={path} digest={want} " in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("command", sorted(NON_FINITE_ARGV))
+@pytest.mark.parametrize("missing", [True, False])
+def test_missing_or_unreadable_population_exits_1(tmp_path, command, missing):
+    path = tmp_path / "absent.csv" if missing else tmp_path
+    argv = NON_FINITE_ARGV[command] + ["--pop", path, "--capacity", 1.8]
+    if command == "simulate":
+        argv += ["--out-prefix", tmp_path / "x"]
+    code, out, err = run(argv)
+    assert code == 1
+    assert out == ""
+    if missing:
+        want = f"FileNotFoundError: [Errno 2] No such file or directory: '{path}'"
+    else:
+        want = f"IsADirectoryError: [Errno 21] Is a directory: '{path}'"
+    assert err.splitlines()[-1] == want
 
 
 def test_optimize_stream(stream3, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from throttleplan import (
     KickKind,
     Mode,
+    Plan,
     Population,
     RegretParams,
     UserProfile,
@@ -198,6 +199,23 @@ def test_threshold_curve_worked_instance(pop4):
     # the exact optimizer is never beaten by its own sampled curve
     sol = optimize_download(pop4, 1.8, P2)
     assert curve[:, 2].min() >= sol.regret - 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the curve's fixed point stops off the capacity curve one ulp below full demand",
+)
+def test_threshold_curve_meets_capacity_near_full_demand():
+    # C = 4.082 lies one ulp below the demand sum.  The fixed-point iteration
+    # behind the curve gives r = 0.51025 at T = 0, consuming 3.04 where the
+    # capacity-tight rate t_hat = 0.976 consumes C; the rows at T = 0.1, 0.2
+    # and 0.4 consume 3.32, 3.66 and 4.00.
+    rates = [0.168, 0.228, 0.27, 0.421, 0.423, 0.747, 0.849, 0.976]
+    pop = Population([UserProfile(i, rate, 1.0) for i, rate in enumerate(rates)])
+    assert 4.082 < pop.total_demand
+    curve = threshold_curve(pop, 4.082, P2, step=0.1)
+    used = [consumption(pop, Plan(t, r, Mode.DOWNLOAD)) for t, r, _ in curve]
+    assert all(abs(u - 4.082) <= 1e-9 * 4.082 for u in used), used
 
 
 def test_threshold_curve_validation(pop4):

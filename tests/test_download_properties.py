@@ -23,11 +23,15 @@ from throttleplan import (
     RegretParams,
     UserProfile,
     aggregate_regret,
+    allocation,
     consumption,
+    generate_lognormal,
     grid_oracle,
     max_threshold,
     optimize_download,
+    partition,
     rate_for_threshold,
+    user_regret,
 )
 from throttleplan.allocation import Mode
 
@@ -131,3 +135,29 @@ def test_optimum_beats_an_off_diagonal_plan():
     off = Plan(0.5, rate_for_threshold(pop, 1.875, 0.5), Mode.DOWNLOAD)
     sol = optimize_download(pop, 1.875, params)
     assert sol.regret <= aggregate_regret(pop, off, params)
+
+
+@st.composite
+def lognormal_instances(draw):
+    """(pop, capacity, params) from the CLI's lognormal generator at criterion 10a's sizes and up."""
+    pop = generate_lognormal(
+        draw(st.integers(2, 200)), draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 1.5)),
+        activity=draw(st.sampled_from([0.25, 1.0])), seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    capacity = draw(st.floats(0.05, 0.999)) * pop.total_demand
+    rho = draw(EXPONENTS)
+    return pop, capacity, RegretParams(rho=rho, tau=rho)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(instances(), lognormal_instances()))
+def test_throttled_allocation_and_regret_rise_with_demand(case):
+    # criterion 10a: among throttled users a heavier user gets at least as
+    # much bandwidth and regrets at least as much
+    pop, capacity, params = case
+    plan = optimize_download(pop, capacity, params, with_intervals=False).plan
+    hot = sorted(partition(pop, plan).throttled, key=lambda i: pop[i].demand)
+    allocs = np.array([allocation(pop[i], plan) for i in hot])
+    regrets = np.array([user_regret(pop[i], plan, params) for i in hot])
+    assert np.all(np.diff(allocs) >= 0.0), allocs
+    assert np.all(np.diff(regrets) >= 0.0), regrets

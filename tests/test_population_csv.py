@@ -3,10 +3,12 @@
 ``load_rows_reference`` and ``save_rows_reference`` are the loader and the
 ``csv.writer`` writer as they were before the codec became columnar.  The
 reader must give the reference's population, or its exact ParseError text
-and line, on any text; the writer must give the reference's bytes.
+and line, on any text, read from a path or from a binary file object; the
+writer must give the reference's bytes.
 """
 
 import csv
+import io
 import os
 import threading
 import warnings
@@ -80,7 +82,9 @@ def assert_same_load(tmp_path, text: str):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(load_population, path)
+        from_bytes = outcome(lambda p: load_population(io.BytesIO(p.read_bytes())), path)
     assert got == outcome(load_rows_reference, path), text
+    assert from_bytes == got, text  # a binary file object reads as its path does
 
 
 # "\x1c5" and "२" are ones numpy alone reads (as 5 and as 2360)
