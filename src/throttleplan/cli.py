@@ -1,7 +1,9 @@
 """Command line front end: generate, optimize, tiers, simulate.
 
 Summaries go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-2 usage or validation problem, 1 internal error.  Randomized commands
+2 usage or validation problem, 1 internal error.  A population or output
+file that cannot be opened is a usage problem: one line
+``error: <path>: <reason>`` and status 2.  Randomized commands
 default to seed 20260819 when --seed is omitted; nothing reads the clock.
 """
 
@@ -51,6 +53,8 @@ def _resolve_capacity(args, pop: Population) -> float:
                         ("--capacity-fraction", args.capacity_fraction)):
         if value is not None and not math.isfinite(value):
             raise ThrottlePlanError(f"{flag} must be a finite number, got {value}")
+        if value is not None and value < 0:
+            raise ThrottlePlanError(f"{flag} must be >= 0, got {value}")
     if args.capacity is not None:
         return args.capacity
     if args.capacity_fraction is not None:
@@ -378,7 +382,11 @@ def main(argv=None) -> int:
     except ThrottlePlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception:  # noqa: BLE001 - internal failure path
+    except Exception as exc:  # noqa: BLE001 - internal failure path
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # a file named on the command line could not be read or written
+            print(f"error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         import traceback
 
         traceback.print_exc()

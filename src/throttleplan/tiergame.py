@@ -19,15 +19,38 @@ All tier games run on download traffic; demands fold activity in.
 Most deviations are ruled out before their plan is solved.  A user joining
 tier b pays dev = fl(kappa p_b) + R with R >= 0, so a target whose price term
 alone reaches the regret to beat cannot win.  The Stackelberg loop also
-bounds R: the new plan's t and r never exceed the zero-rate threshold t_hat
-of the grown membership (the scan only searches [0, t_hat]), and adding a
-member only lowers t_hat, so t_hat_b of the tier as it stands bounds both,
-and R >= (1 - t_hat_b / d_u)^(rho + tau) when d_u > t_hat_b.  The floor
-gives t_hat_b a 1e-9 relative margin for the grown tier's different
-summation order, and the power another 1e-9 for its rounding
-(:func:`_join_floor`).  A deviation moves a user only if it strictly
-beats the best option so far, and a skipped one provably cannot, so every
-move, plan and report is the same as with every deviation solved.
+bounds R = ((1 - T/d)(1 - r/d))^rho (rho = tau for downloads) from two
+levels of b, each counting the joiner u as consuming exactly t
+(:func:`_join_levels`): t0, the root of sum_b min(d, t) + t = C_b, and tc,
+the root of sum_b c_t(d) + t = C_b with c_t(d) = d for d <= t and
+2 t - t^2 / d above.
+
+* Every plan the scan returns for b + u lies on the grown tier's
+  capacity-tight curve with T, r <= t_hat', its zero-rate threshold.
+* On each fixed-membership piece of the curve
+  d(T + r)/dT = S (r - T) / (h - T S), with h the throttled count and S
+  their sum of 1/d, so T + r peaks where the curve crosses r = T, at t*:
+  T + r <= 2 t*.  At T = t_hat', r = 0, so t_hat' <= 2 t*.
+* For a fixed sum with T, r <= t_hat' the product (d - T)(d - r) is
+  smallest at the most uneven split, so for d_u > t_hat'
+  R >= ((1 - t_hat'/d)(1 - (2 t* - t_hat')/d))^rho.  This falls as t*
+  grows, and as t_hat' grows past t*.
+* If d_u > t0, u consumes exactly t at zero rate, so t_hat' = t0, and at
+  least t on the r = T diagonal, so t* <= tc <= t0: the bound holds with
+  t0 and tc.  Otherwise its first factor, and the floor, is 0.
+* It is never below the tier's plain bound (1 - t_hat_b/d)^(2 rho), the
+  bound of any plan with T, r <= t_hat_b, as 2 tc - t0 <= tc <= t0 <= t_hat_b.
+
+:func:`_join_floor` raises t0 and tc by 1e-9 relative and lowers the power
+by 1e-9.  The levels are closed forms over running sums of at most n terms,
+and the scan's T and r come from the grown tier's own sums in another order,
+so each is off by about n eps relative; a segment picked one off at a tie
+moves a root by as little.  1e-9 is about 4.5e6 eps, thousands of times that
+for the tiers the game plans, and the power's margin covers the rounding of
+the power and of the regret's two factors.  A deviation moves a user only
+if it strictly beats the best option so far, and a skipped one provably
+cannot, so every move, plan and report is the same as with every deviation
+solved.
 
 The Stackelberg deviations that are solved are read off a per-round table
 (:class:`_JoinPlans`): tier b's plan for its members joined by user u.  Such
@@ -234,8 +257,10 @@ def _move_regret(
 def _zero_rate_threshold(demands: np.ndarray, members: Sequence[int], share: float) -> float:
     """t_hat of a tier: the threshold meeting its share at rate 0.
 
-    inf for an empty tier or a share covering the members' demand, where no
-    finite bound holds.
+    Every plan of the tier, or of the tier with members added, keeps T and r
+    within it; :func:`_join_levels` sharpens it for one joiner.  inf for an
+    empty tier or a share covering the members' demand, where no finite
+    bound holds.
     """
     if not members:
         return math.inf
@@ -246,18 +271,51 @@ def _zero_rate_threshold(demands: np.ndarray, members: Sequence[int], share: flo
     return _zero_rate_bound(ds, prefix, share)
 
 
-def _join_floor(price_term: float, t_hat: float, demand, exponent: float):
+def _join_levels(demands: np.ndarray, members: Sequence[int], share: float) -> tuple[float, float]:
+    """(zero-rate level, r = T crossing) of a tier about to take one more member.
+
+    The joiner is counted as consuming exactly t at both: the level is the
+    root of sum min(d, t) + t = share, the crossing the root of
+    sum c_t(d) + t = share, with c_t(d) = d for d <= t and 2 t - t^2 / d
+    above, both summed over the members.  Each comes in closed form on the
+    segment of the sorted demands holding it: a linear root for the level
+    and the smaller quadratic root for the crossing.  Both are finite for
+    any finite share, empty tiers included.
+    """
+    ds = np.sort(demands[list(members)])
+    n = ds.size
+    prefix = np.concatenate(([0.0], np.cumsum(ds)))
+    suf_inv = np.concatenate((np.cumsum(1.0 / ds[::-1])[::-1], [0.0]))
+    # each curve at t = d_j; the root lies past every d_j whose curve stays within the share
+    above = n - 1 - np.arange(n)
+    at_zero = prefix[1:] + (above + 1) * ds
+    at_cross = prefix[1:] + ds * (2 * above + 1 - ds * suf_inv[1:])
+    k = int(np.searchsorted(at_zero, share, side="right"))
+    zero = (share - float(prefix[k])) / (n - k + 1)
+    k = int(np.searchsorted(at_cross, share, side="right"))
+    spare, b = share - float(prefix[k]), 2 * (n - k) + 1
+    # the stable form of (b - sqrt(b^2 - 4 S spare)) / (2 S), exact at S = 0
+    cross = 2.0 * spare / (b + math.sqrt(max(b * b - 4.0 * float(suf_inv[k]) * spare, 0.0)))
+    return zero, cross
+
+
+def _join_floor(price_term: float, t_zero: float, demand, exponent: float, t_cross=None):
     """Lower bound on the regret of a user of this demand joining a tier.
 
-    ``t_hat`` is the tier's zero-rate threshold before the join and
-    ``exponent`` is rho + tau.  It holds for any plan of the grown tier with
-    t and r at most t_hat (1 + 1e-9).  :func:`_download_plan`'s plans are
-    such plans: the scan keeps t and r within the grown tier's own t_hat,
-    and joining only lowers t_hat.  ``demand`` is one demand or a column.
+    ``exponent`` is rho + tau, with rho = tau, and ``demand`` is one demand
+    or a column.  The bound is ((1 - high/d)(1 - low/d))^rho, each factor
+    clipped at 0, with high = ``t_zero`` and low = 2 ``t_cross`` - high,
+    both levels raised by 1e-9 relative and the power lowered by 1e-9.
+    With :func:`_join_levels`' two levels it bounds every plan the tier
+    can take with the joiner.  Without ``t_cross``, low = high and it
+    bounds every plan with T and r at most ``t_zero``, the tier's t_hat.
+    The module docstring derives it and the margins.
     """
-    edge = t_hat * (1.0 + 1e-9)
-    gap = np.clip(1.0 - edge / demand, 0.0, None)
-    return price_term + gap**exponent * (1.0 - 1e-9)
+    high = low = t_zero * (1.0 + 1e-9)
+    if t_cross is not None:
+        low = 2.0 * t_cross * (1.0 + 1e-9) - high
+    gap = np.clip(1.0 - high / demand, 0.0, None) * np.clip(1.0 - low / demand, 0.0, None)
+    return price_term + gap ** (0.5 * exponent) * (1.0 - 1e-9)
 
 
 def _total_regret(
@@ -695,11 +753,12 @@ def stackelberg_iterate(
     Detected assignment cycles end the loop early as non-converged.
 
     A target tier is solved only when :func:`_join_floor`, from the tier's
-    zero-rate threshold t_hat, is below the mover's best option so far;
+    zero-rate level and r = T crossing with one more member
+    (:func:`_join_levels`), is below the mover's best option so far;
     otherwise its plan cannot beat that option and no solve could move the
-    user (see the module docstring).  Each tier's t_hat, and every user's
-    floor from it, is computed at the start of a round and again whenever a
-    move changes the tier.
+    user (see the module docstring).  Each tier's two levels, and every
+    user's floor from them, are computed at the start of a round and again
+    whenever a move changes the tier.
 
     The deviation plans come from a :class:`_JoinPlans` table per round.
     A move clears the tables of both tiers it changes, the source and the
@@ -750,8 +809,8 @@ def stackelberg_iterate(
 
     def floors_of(j: int) -> np.ndarray:
         """Every user's :func:`_join_floor` for tier j as it stands."""
-        t_hat = _zero_rate_threshold(pop.demands, member_lists[j], shares[j])
-        return _join_floor(price_terms[j], t_hat, pop.demands, exponent)
+        t_zero, t_cross = _join_levels(pop.demands, member_lists[j], shares[j])
+        return _join_floor(price_terms[j], t_zero, pop.demands, exponent, t_cross)
 
     for _ in range(max_iters):
         iterations += 1

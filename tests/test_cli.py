@@ -153,18 +153,50 @@ def test_digest_is_the_population_file_sha256(pop4, tmp_path, command):
 @pytest.mark.parametrize("command", sorted(NON_FINITE_ARGV))
 @pytest.mark.parametrize("missing", [True, False])
 def test_missing_or_unreadable_population_exits_1(tmp_path, command, missing):
+    """A --pop that cannot be read is a usage error: one line and status 2, not a traceback."""
     path = tmp_path / "absent.csv" if missing else tmp_path
     argv = NON_FINITE_ARGV[command] + ["--pop", path, "--capacity", 1.8]
     if command == "simulate":
         argv += ["--out-prefix", tmp_path / "x"]
     code, out, err = run(argv)
-    assert code == 1
+    assert code == 2
     assert out == ""
-    if missing:
-        want = f"FileNotFoundError: [Errno 2] No such file or directory: '{path}'"
-    else:
-        want = f"IsADirectoryError: [Errno 21] Is a directory: '{path}'"
-    assert err.splitlines()[-1] == want
+    reason = "No such file or directory" if missing else "Is a directory"
+    assert err.splitlines() == [f"error: {path}: {reason}"]
+
+
+OUTPUT_ARGV = {
+    "generate -o": ["generate", "--dist", "codec:v=0.2,0.4", "--n", 5, "-o"],
+    "optimize --curve": ["optimize", "--capacity", 1.8, "--curve"],
+    "tiers --out-equilibria": ["tiers", "sweep", "--prices", "0.5,1.0", "--capacity", 1.8,
+                               "--split-step", 0.5, "--out-equilibria"],
+    "tiers --out-summary": ["tiers", "sweep", "--prices", "0.5,1.0", "--capacity", 1.8,
+                            "--split-step", 0.5, "--out-summary"],
+    "tiers -o": ["tiers", "stackelberg", "--prices", "0.5,1.0", "--capacity", 1.8, "-o"],
+    "simulate --out-prefix": ["simulate", "--plan", "0.3,0.1", "--capacity", 1.8, "--days", 30,
+                              "--out-prefix"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_ARGV))
+def test_unwritable_output_exits_2(pop4, tmp_path, case):
+    target = tmp_path / "no-such-dir" / "out"
+    argv = OUTPUT_ARGV[case] + [target]
+    if argv[0] != "generate":
+        argv += ["--pop", write_pop(pop4, tmp_path)]
+    code, _, err = run(argv)
+    assert code == 2
+    written = f"{target}_throttled_hourly.csv" if case.startswith("simulate") else target
+    assert err.splitlines() == [f"error: {written}: No such file or directory"]
+
+
+@pytest.mark.parametrize("flag", ["--capacity", "--capacity-fraction"])
+def test_negative_capacity_names_the_flag(pop4, tmp_path, flag):
+    path = write_pop(pop4, tmp_path)
+    code, out, err = run(["optimize", "--pop", path, f"{flag}=-1"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {flag} must be >= 0, got -1.0"]
 
 
 def test_optimize_stream(stream3, tmp_path):
@@ -381,10 +413,16 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_internal_errors_exit_1(tmp_path):
-    code, _, err = run(["optimize", "--pop", tmp_path, "--capacity", 1.8])
+def test_internal_errors_exit_1(pop4, tmp_path, monkeypatch):
+    # an OSError naming no file is not a usage problem
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("throttleplan.cli.optimize_download", fail)
+    code, _, err = run(["optimize", "--pop", write_pop(pop4, tmp_path), "--capacity", 1.8])
     assert code == 1
     assert "Traceback" in err
+    assert err.splitlines()[-1] == "OSError: [Errno 28] No space left on device"
 
 
 def _csv_with_rate(tmp_path, rate):

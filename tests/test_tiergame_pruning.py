@@ -8,7 +8,10 @@ after every move, as the loops did before the floors.  The library must
 give identical reports, identical improving-move lists in the same order,
 and the same error wherever a game raises.  The floor itself is checked
 against the regret ``_move_regret`` reports on random tiers, and against
-any plan inside its stated margin.
+any plan inside its stated margin.  The Stackelberg loop's floor, from the
+tier's zero-rate level and r = T crossing as they would be with one more
+member, is checked against solved deviations, against every capacity-tight
+plan of the grown tier, and against the tier's plain t_hat floor it refines.
 """
 
 import math
@@ -36,7 +39,7 @@ from throttleplan import (
     tiergame,
 )
 from throttleplan.allocation import Mode
-from throttleplan.download import _Ladder, _optimize_ladder
+from throttleplan.download import _Ladder, _intervals, _optimize_ladder, _tight_rates
 from throttleplan.population import assign_tiers_binomial
 from throttleplan.regret import _regret
 from throttleplan.tiergame import (
@@ -44,6 +47,7 @@ from throttleplan.tiergame import (
     SweepPoint,
     _download_plan,
     _join_floor,
+    _join_levels,
     _move_regret,
     _tier_consumption,
     _total_regret,
@@ -374,3 +378,116 @@ def test_zero_rate_threshold_conventions():
     assert _join_floor(0.1, math.inf, 3.0, 4.0) == 0.1
     assert _join_floor(0.1, 2.0, 2.0, 4.0) == 0.1
     assert 0.1 < _join_floor(0.1, 2.0, 4.0, 4.0) <= 0.1 + 0.5**4
+
+
+def _share(members, mover, pick, fraction):
+    """A drawn share: a fraction of the members' sum, or that sum or the grown one, or one ulp below."""
+    total = float(sum(members))
+    if pick == "fraction":
+        return fraction * total
+    grown = total + mover if pick.startswith("grown") else total
+    return float(np.nextafter(grown, 0.0)) if pick.endswith("ulp") else grown
+
+
+SHARES = st.sampled_from(["fraction"] * 4 + ["member", "member-ulp", "grown", "grown-ulp"])
+
+
+def _joiner(members, share, mover, scale):
+    """The drawn mover, or a multiple of the tier's t_hat, so joiners fall both sides of it."""
+    t_hat = _zero_rate_threshold(np.array(members), tuple(range(len(members))), share)
+    if scale is None or not 1e-2 <= t_hat * scale <= 1e2:  # DEMANDS' range
+        return mover
+    return t_hat * scale
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    members=st.lists(DEMANDS, min_size=0, max_size=30),
+    mover=DEMANDS,
+    scale=st.one_of(st.none(), st.sampled_from([0.5, 1.0, 1.0 + 1e-12, 1.5]), st.floats(0.5, 3.0)),
+    pick=SHARES,
+    fraction=st.floats(0.0, 1.2),
+    price_term=st.sampled_from([0.0, 0.005, 0.05, 0.2]),
+    rho=st.sampled_from([2.0, 3.0]),
+)
+def test_crossing_floor_never_exceeds_the_solved_deviation(
+    members, mover, scale, pick, fraction, price_term, rho
+):
+    share = _share(members, mover, pick, fraction)
+    mover = _joiner(members, share, mover, scale)
+    demands = np.array(members + [mover])
+    tier = tuple(range(len(members)))
+    params = RegretParams(rho=rho, kappa=1.0)
+    plan = partial(_download_plan, demands, rho=rho)
+    dev, _ = _move_regret(
+        mover, _by_tier(plan, (share,)), tier, len(members), 0, price_term, params)
+    t_zero, t_cross = _join_levels(demands, tier, share)
+    assert _join_floor(price_term, t_zero, mover, 2 * rho, t_cross) <= dev
+
+
+def _tight_plans(demands, share):
+    """Capacity-tight (T, r) of these demands: per interval, its ends and inner points, on the exact formula."""
+    lad = _Ladder(demands, share)
+    a, b, k = _intervals(lad)
+    live = lad.n - k > 0
+    a, b, k = a[live], b[live], k[live]
+    ts = np.concatenate([a + (b - a) * w for w in (0.0, 0.1, 0.5, 0.9, 1.0)])
+    ks = np.tile(k, 5)
+    rs = _tight_rates((lad.n - ks).astype(float), share - lad.prefix[ks], lad.suf_inv[ks], ts)
+    return [(0.0, lad.t_hat), (lad.t_hat, 0.0), *zip(ts.tolist(), rs.tolist())]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    members=st.lists(DEMANDS, min_size=0, max_size=30),
+    mover=DEMANDS,
+    scale=st.one_of(st.none(), st.floats(0.5, 3.0)),
+    pick=SHARES,
+    fraction=st.floats(0.0, 1.2),
+    rho=st.sampled_from([2.0, 3.0]),
+)
+def test_crossing_floor_holds_on_the_grown_tiers_tight_curve(
+    members, mover, scale, pick, fraction, rho
+):
+    """Every capacity-tight plan of the grown tier, and the floor's own extreme plan, keep the floor."""
+    share = _share(members, mover, pick, fraction)
+    mover = _joiner(members, share, mover, scale)
+    demands = np.array(members + [mover])
+    tier = tuple(range(len(members)))
+    params = RegretParams(rho=rho, kappa=1.0)
+    t_zero, t_cross = _join_levels(demands, tier, share)
+    floor = _join_floor(0.0, t_zero, mover, 2 * rho, t_cross)
+    # the most uneven split of T + r = 2 t_cross with T, r <= t_zero, at the margins' edge
+    high = t_zero * (1.0 + 1e-9)
+    low = 2.0 * t_cross * (1.0 + 1e-9) - high
+    plans = [(high, low), (low, high)]
+    if 0.0 < share < demands.sum():
+        plans += _tight_plans(demands, share)
+    for t, r in plans:
+        assert floor <= _regret(mover, 1.0, Plan(t, r, Mode.DOWNLOAD), params), (t, r)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    members=st.lists(DEMANDS, min_size=0, max_size=30),
+    mover=DEMANDS,
+    scale=st.one_of(st.none(), st.floats(1.0, 3.0)),
+    pick=SHARES,
+    fraction=st.floats(0.0, 1.2),
+    price_term=st.sampled_from([0.0, 0.05]),
+    rho=st.sampled_from([2.0, 3.0]),
+)
+def test_crossing_floor_is_at_least_the_zero_rate_floor(
+    members, mover, scale, pick, fraction, price_term, rho
+):
+    """Wherever d > t_hat the floor reaches (1 - t_hat / d)^(2 rho), the bound of any plan within t_hat."""
+    share = _share(members, mover, pick, fraction)
+    mover = _joiner(members, share, mover, scale)
+    tier = tuple(range(len(members)))
+    demands = np.array(members + [mover])
+    t_hat = _zero_rate_threshold(demands, tier, share)
+    t_zero, t_cross = _join_levels(demands, tier, share)
+    assert t_cross <= t_zero <= t_hat
+    if mover > t_hat:
+        new = _join_floor(price_term, t_zero, mover, 2 * rho, t_cross)
+        assert new >= _join_floor(price_term, t_hat, mover, 2 * rho)
