@@ -24,7 +24,6 @@ from .cyclesim import (
 )
 from .download import (
     DownloadSolution,
-    IntervalResult,
     KickEvent,
     KickKind,
     grid_oracle,

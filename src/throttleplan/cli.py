@@ -150,8 +150,10 @@ def cmd_optimize(args) -> int:
         f"residual={residual:.3e}"
     )
     if args.curve:
-        bound = max_threshold(pop, cap)
-        step = args.curve_step if args.curve_step else bound.threshold / 1000.0
+        step = args.curve_step
+        if step is None:
+            # 1,001 points up to t_hat; at t_hat = 0 the curve is its one T = 0 row
+            step = max_threshold(pop, cap).threshold / 1000.0 or 1.0
         if args.mode == "download":
             rows = threshold_curve(pop, cap, params, step)
         else:

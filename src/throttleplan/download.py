@@ -27,26 +27,28 @@ instead of the dense sum's O(n).  The alternating sum cancels, so it only
 bounds each candidate's regret.  The candidates that can still decide the
 pick, usually one, are re-scored with the dense sum, and the pick follows
 the dense values: the result is bit for bit that of scoring every candidate
-densely.  When rho is not an integer, or interval records are requested,
-every candidate is scored densely, and so is every candidate of a small
-solve, where the dense sum costs less than the moment filter.
+densely.  When rho is not an integer every candidate is scored densely, and
+so is every candidate of a small solve, where the dense sum costs less than
+the moment filter.
 
-Many solves at once, as the two-tier enumeration and the Stackelberg
-deviations make, go through a row-batched scan (:func:`_optimize_rows`).
-Each row of an (m, s) demand array gets its own ladder from a stable row
-sort and sequential row sums, searchsorted becomes a per-row count read off
-the runs of equal values, and the interval bounds a row sort with equal
-neighbours merged.  Both scans share the rest: t_hat from the row-wise
-segment rule of :mod:`allocation`, the state at T = 0 read off it, the kick
-formulas and filters, and the candidate, moment-filter and pick code.  That
-code takes the intervals of all rows flat, tagged by row, and a single
-solve is its one-row case.  The filter bounds each row's candidates against
-that row's own tie bar, and each row keeps its first rooted, else first
-tied, interval, so every row gets bit for bit what :func:`optimize_demands`
-gives it.  A batch judges the dense-terms rule from its row size: the
-subset rows of the enumeration, up to 25 members, are scored densely, and
-larger rows of integer rho go through the filter.  Single solves stay on
-the single scan: one row costs the batch 1.3 to 1.5 times as much.
+There is one scan (:func:`_scan_rows`), and it solves rows: each row of an
+(m, s) demand array is one solve.  The two-tier enumeration and the
+Stackelberg deviations send many rows at once; :func:`optimize_download`
+and :func:`optimize_demands` send one.  Each row gets its ladder from a
+stable row sort and sequential row sums, and searchsorted becomes a per-row
+count read off the runs of equal values.  One builder
+(:meth:`_RowLadders.intervals`) takes the finite interval bounds of all
+rows, tagged by row, sorts them once and reads each row's suffix starts off
+a running count of its events.  The candidate, moment-filter and pick code
+takes the intervals of all rows flat; the filter bounds each row's
+candidates against that row's own tie bar, and each row keeps its first
+rooted, else first tied, interval, so a row's plan does not depend on the
+rows batched with it.  The dense-terms rule is judged from the intervals
+found, with the moment filter's fixed cost counted as a few rows more: a
+single row of up to 20,480 dense terms, and the enumeration's subset rows of
+up to 25 members, are always scored densely.  On a 2-vCPU host (numpy 2.4,
+rho = 2, lognormal(0, 0.5) demands at C/D 0.3 to 0.95) a one-row solve of
+90, 300 or 4,000 demands takes about 0.35, 0.5 or 2 ms.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import Mode, Plan, _check_capacity, _zero_rate_bound, _zero_rate_bounds
+from .allocation import Mode, Plan, _check_capacity, _zero_rate_bounds
 from .errors import ValidationError
 from .population import Population
 from .regret import RegretParams
@@ -77,21 +79,16 @@ class KickEvent(NamedTuple):
     user: int
 
 
-class IntervalResult(NamedTuple):
-    """Best plan found inside one constant-membership interval [lo, hi)."""
-
-    lo: float
-    hi: float
-    throttled: tuple[int, ...]
-    threshold: float
-    regret: float
-
-
 @dataclass(frozen=True)
 class DownloadSolution:
+    """A plan with its regret.
+
+    ``intervals`` is always empty: the scan keeps no per-interval records.
+    """
+
     plan: Plan
     regret: float
-    intervals: tuple[IntervalResult, ...]
+    intervals: tuple[()] = ()
 
 
 #: Most points a sampled curve or a split sweep may have; a finer step is
@@ -123,9 +120,13 @@ def _check_params(params: RegretParams) -> None:
 #: regrets agree to within it count as equal.
 _TIE_TOL = 1e-12
 
-#: Solves with at most this many dense terms (candidates times members)
-#: score every candidate densely: below it the moment filter costs more.
+#: The moment filter costs about as much as this many dense terms
+#: (candidates times members) a row, plus :data:`_FILTER_ROWS` rows' worth a
+#: scan: a scan with fewer dense terms scores every candidate densely.  On a
+#: 2-vCPU host (numpy 2.4, rho = 2) one row broke even near 20,000 dense
+#: terms, batches of 16 rows of 40-90 members near 4,000-6,000 a row.
 _DENSE_TERMS = 4096
+_FILTER_ROWS = 4
 
 #: Most terms a row batch of the scan materializes at once.
 _CHUNK_TERMS = 1_000_000
@@ -233,31 +234,6 @@ def _pick(
     return t_best, r_best, reg_best, pick_loc
 
 
-class _Ladder:
-    """Sorted demands with the prefix/suffix sums every formula needs."""
-
-    def __init__(self, demands: np.ndarray, capacity: float):
-        self.order = np.argsort(demands, kind="stable")
-        self.ds = demands[self.order]
-        self.n = self.ds.size
-        self.capacity = capacity
-        self.prefix = np.concatenate(([0.0], np.cumsum(self.ds)))
-        inv = 1.0 / self.ds
-        self.suf_inv = np.concatenate((np.cumsum(inv[::-1])[::-1], [0.0]))
-        self.t_hat = _zero_rate_bound(self.ds, self.prefix, capacity)
-
-    def fixed_point_vec(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized fixed point: (k, capacity-tight r) for many thresholds."""
-        k = np.searchsorted(self.ds, ts, side="right").astype(np.int64)
-        for _ in range(self.n + 1):
-            r = _tight_rates(self.n - k, self.capacity - self.prefix[k], self.suf_inv[k], ts)
-            k2 = np.searchsorted(self.ds, np.maximum(ts, r), side="right").astype(np.int64)
-            if np.array_equal(k2, k):
-                break
-            k = k2
-        return k, r
-
-
 def _moments(ds: np.ndarray, top: int) -> np.ndarray:
     """Suffix moments of sorted rows ds (m, s): [p, i, j] sums d^-p over row i's j largest demands.
 
@@ -350,31 +326,6 @@ def _kick_masks(
     return t_in, good, out
 
 
-def _kick_thresholds(
-    lad: _Ladder,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Membership-change thresholds in [0, t_hat) as (t_in, who_in, t_out, who_out, k0).
-
-    k0 is the suffix start of the throttled set at T = 0: the demands above
-    r = t_hat.
-    """
-    ds = lad.ds
-    k = np.searchsorted(ds, ds, side="right")
-    t_in, good, out = _kick_masks(ds, k, lad.prefix[k], lad.suf_inv[k], lad.capacity, lad.t_hat)
-    idx = np.arange(lad.n)
-    k0 = int(np.searchsorted(ds, lad.t_hat, side="right"))
-    return t_in[good], idx[good], ds[out], idx[out], k0
-
-
-def _kick_events(lad: _Ladder) -> list[tuple[float, KickKind, int]]:
-    """All membership-change events, sorted by (threshold, kind, user)."""
-    t_in, who_in, t_out, who_out, _ = _kick_thresholds(lad)
-    events = [(float(t), KickKind.KICK_IN, int(i)) for t, i in zip(t_in, who_in)]
-    events += [(float(t), KickKind.KICK_OUT, int(i)) for t, i in zip(t_out, who_out)]
-    events.sort(key=lambda e: (e[0], e[1].value, e[2]))
-    return events
-
-
 def kick_points(pop: Population, capacity: float) -> list[KickEvent]:
     """Thresholds where the capacity-tight throttled set changes.
 
@@ -384,24 +335,18 @@ def kick_points(pop: Population, capacity: float) -> list[KickEvent]:
     _check_capacity(capacity)
     if capacity >= pop.total_demand:
         raise ValidationError("kick points are undefined when capacity covers demand")
-    lad = _Ladder(pop.demands, capacity)
+    order = np.argsort(pop.demands, kind="stable")
+    lad = _RowLadders.build(pop.demands[None], np.array([float(capacity)]))
+    t_in, good, out, _ = lad.kicks()
+    good, out = good[0], out[0]
+    ts = np.concatenate((t_in[0, good], lad.ds[0, out]))
+    kinds = np.repeat([KickKind.KICK_IN.value, KickKind.KICK_OUT.value],
+                      [np.count_nonzero(good), np.count_nonzero(out)])
+    who = np.concatenate((np.flatnonzero(good), np.flatnonzero(out)))
     return [
-        KickEvent(t, kind, int(lad.order[i])) for t, kind, i in _kick_events(lad)
+        KickEvent(float(ts[i]), KickKind(int(kinds[i])), int(order[who[i]]))
+        for i in np.lexsort((who, kinds, ts))
     ]
-
-
-def _intervals(lad: _Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant-membership intervals [a, b) covering [0, t_hat), with suffix starts k."""
-    t_in, _, t_out, _, k0 = _kick_thresholds(lad)
-    bounds = np.unique(np.concatenate(([0.0], t_in, t_out, [lad.t_hat])))
-    a, b = bounds[:-1], bounds[1:]
-    # every kick-in at or before a has joined the suffix, every kick-out left it
-    k = (
-        k0
-        - np.searchsorted(np.sort(t_in), a, side="right")
-        + np.searchsorted(t_out, a, side="right")
-    )
-    return a, b, k
 
 
 def _near_best(
@@ -418,7 +363,8 @@ def _near_best(
     floor nor its pick, and an interval above its row's highest possible
     tie bar cannot tie the row's best.  Everything else is kept.
     """
-    est, err = _regret_moments(ds, np.tile(row, 3), np.tile(k, 3), ts.ravel(), rs.ravel(), rho)
+    est, err = _regret_moments(
+        ds, np.concatenate((row, row, row)), np.concatenate((k, k, k)), ts.ravel(), rs.ravel(), rho)
     lo, hi = (est - err).reshape(3, -1), (est + err).reshape(3, -1)
     lo[0, ~interior] = math.inf
     hi[0, ~interior] = math.inf
@@ -447,9 +393,9 @@ def _interval_picks(
         need = np.ones(ts.shape, dtype=bool)
     else:
         need = _near_best(ds, row, k, ts, rs, int(rho), interior)
-    rows, ks = np.broadcast_to(row, ts.shape), np.broadcast_to(k, ts.shape)
+    _, col = np.nonzero(need)
     reg = np.full(ts.shape, math.inf)
-    reg[need] = _dense_regrets(ds, rows[need], ks[need], ts[need], rs[need], rho)
+    reg[need] = _dense_regrets(ds, row[col], k[col], ts[need], rs[need], rho)
     return _pick(ts, rs, reg, interior)
 
 
@@ -468,123 +414,13 @@ def _first_best(row: np.ndarray, m: int, reg: np.ndarray, rooted: np.ndarray) ->
     return first % n
 
 
-def _optimize_ladder(
-    lad: _Ladder, rho: float, want_intervals: bool
-) -> tuple[float, float, float, list[IntervalResult]]:
-    """Best candidate over [0, t_hat]: returns (t, r, regret, intervals).
-
-    Per interval the candidates are the interior root (where r(T) = T), then
-    the left endpoint, then the right.  Comparisons carry a relative float
-    tolerance: on a single-member plateau the regret is constant, and an
-    endpoint must not displace the r = T point by an ulp.  Within tolerance
-    the root wins, then the leftmost candidate, keeping ties deterministic.
-    The ladder runs through the row scan's code as a single row.  Only the
-    candidates :func:`_near_best` keeps get their dense regret, except in
-    small solves: with at most 4096 dense terms (candidates times members)
-    the moment filter costs more than the dense sum it would save, so every
-    candidate is scored densely.  The pick is the same either way.  A t_hat
-    at or past the largest demand means capacity covers demand up to
-    rounding: the plan is then no throttling, (inf, inf, 0.0).
-    """
-    if lad.t_hat >= lad.ds[-1]:
-        return math.inf, math.inf, 0.0, []
-    if lad.t_hat <= 0:  # T = r = 0: every member's regret is 1
-        reg = float(lad.n)
-        recs = [IntervalResult(0.0, 0.0, tuple(range(lad.n)), 0.0, reg)] if want_intervals else []
-        return 0.0, 0.0, reg, recs
-    a, b, k = _intervals(lad)
-    live = lad.n - k > 0
-    a, b, k = a[live], b[live], k[live]
-    row = np.zeros(k.size, dtype=np.intp)
-    dense = want_intervals or not float(rho).is_integer() or 3 * k.size * lad.n <= _DENSE_TERMS
-    t_best, r_best, reg_best, pick_loc = _interval_picks(
-        lad.ds[None], row, a, b, k, lad.capacity - lad.prefix[k], lad.suf_inv[k], rho, dense)
-    i = int(_first_best(row, 1, reg_best, pick_loc)[0])
-    records: list[IntervalResult] = []
-    if want_intervals:
-        records = [
-            IntervalResult(
-                float(a[m]), float(b[m]),
-                tuple(int(j) for j in lad.order[k[m]:]),
-                float(t_best[m]), float(reg_best[m]),
-            )
-            for m in range(a.size)
-        ]
-    return float(t_best[i]), float(r_best[i]), float(reg_best[i]), records
-
-
-def optimize_download(
-    pop: Population, capacity: float, params: RegretParams, with_intervals: bool = False
-) -> DownloadSolution:
-    """Least-regret download plan meeting capacity, as the interval scan finds it.
-
-    Demands fold activity in (a downloader shifted to off-hours consumes the
-    same bytes), so the plan depends only on d_i = rate * activity.  The
-    returned plan satisfies capacity exactly; its rate equals its threshold
-    unless the pick is an interval end.  The scan can miss a minimum off
-    the r = T diagonal (see the module docstring).  ``with_intervals`` also
-    returns every interval's record, at the cost of scoring each candidate
-    densely: quadratic in the population size.
-    """
-    _check_params(params)
-    _check_capacity(capacity)
-    if capacity >= pop.total_demand:
-        return DownloadSolution(Plan.no_throttling(Mode.DOWNLOAD), 0.0, ())
-    lad = _Ladder(pop.demands, capacity)
-    t, r, reg, records = _optimize_ladder(lad, params.rho, with_intervals)
-    return DownloadSolution(Plan(t, r, Mode.DOWNLOAD), reg, tuple(records))
-
-
-def optimize_demands(demands: np.ndarray, capacity: float, rho: float) -> tuple[float, float, float]:
-    """Array-level fast path: (threshold, rate, regret) for raw demands.
-
-    Same computation as :func:`optimize_download` without building
-    population or interval records; the tier game calls this in bulk.
-    """
-    total = float(demands.sum())
-    if capacity >= total:
-        return math.inf, math.inf, 0.0
-    lad = _Ladder(np.asarray(demands, dtype=float), capacity)
-    t, r, reg, _ = _optimize_ladder(lad, rho, want_intervals=False)
-    return t, r, reg
-
-
-def _optimize_rows(
-    rows: np.ndarray, capacities: np.ndarray, rho: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`optimize_demands` of every row: (t, r, regret) arrays, bit for bit.
-
-    ``rows`` is (m, s), one demand set per row, and ``capacities`` (m,).
-    The :data:`_DENSE_TERMS` rule is judged from the row size: a row has at
-    most 2 s + 1 intervals of three candidates, and rows whose candidates
-    could all be summed densely in that many terms are, while larger rows of
-    integer rho go through the moment filter.  Rows are scanned in chunks
-    of about :data:`_CHUNK_TERMS` candidate terms: s each for the dense
-    sums, which :func:`_dense_regrets` then runs in blocks, or the filter's
-    2 rho + 1 moment terms.
-    """
-    rows = np.asarray(rows, dtype=float)
-    capacities = np.asarray(capacities, dtype=float)
-    m, s = rows.shape
-    t, r, reg = np.full(m, math.inf), np.full(m, math.inf), np.zeros(m)
-    todo = np.flatnonzero(capacities < rows.sum(axis=1))
-    candidates = 3 * (2 * s + 1)
-    dense = not float(rho).is_integer() or candidates * s <= _DENSE_TERMS
-    per_row = candidates * (s if dense else 2 * int(rho) + 1)
-    chunk = max(1, _CHUNK_TERMS // max(per_row, 1))
-    for lo in range(0, todo.size, chunk):
-        part = todo[lo : lo + chunk]
-        t[part], r[part], reg[part] = _scan_rows(rows[part], capacities[part], rho, dense)
-    return t, r, reg
-
-
 @dataclass(frozen=True)
 class _RowLadders:
-    """:class:`_Ladder` of every row of an (m, s) demand array, without ``order``.
+    """Sorted demand rows of an (m, s) array with the running sums every formula needs.
 
-    A stable row sort and sequential row cumsums give each row the sorted
-    demands, prefix, suffix of 1/d and t_hat that its single ladder holds,
-    bit for bit.  ``searchsorted`` becomes a per-row count of ds <= x.
+    A stable row sort and sequential row cumsums give each row its sorted
+    demands, prefix sums, suffix sums of 1/d and t_hat; ``searchsorted``
+    becomes a per-row count of ds <= x.
     """
 
     ds: np.ndarray
@@ -597,7 +433,7 @@ class _RowLadders:
     def build(cls, rows: np.ndarray, caps: np.ndarray) -> _RowLadders:
         """Ladders of rows whose caps lie below their sums."""
         m, s = rows.shape
-        ds = np.take_along_axis(rows, np.argsort(rows, axis=1, kind="stable"), axis=1)
+        ds = np.sort(rows, axis=1, kind="stable")
         prefix = np.zeros((m, s + 1))
         np.cumsum(ds, axis=1, out=prefix[:, 1:])
         suf_inv = np.zeros((m, s + 1))
@@ -608,16 +444,10 @@ class _RowLadders:
         return _RowLadders(self.ds[rows], self.prefix[rows], self.suf_inv[rows],
                            self.caps[rows], self.t_hat[rows])
 
-    def intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`_intervals` of every row with t_hat > 0, flat: (row, a, b, k).
+    def kicks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_kick_masks` of every row, with its suffix start at T = 0: (t_in, good, out, k0).
 
-        The kick thresholds are :func:`_kick_masks`', with searchsorted a
-        per-row count.  Each row's bounds are sorted with unused slots last
-        as inf; a kick-in shrinks the suffix and a kick-out grows it, so the
-        running count of events from k0 (the count of demands at or below
-        t_hat) is the suffix start, and merging
-        equal bounds into the last of their run counts every event at a
-        bound, as searchsorted does.
+        k0 counts each row's demands at or below t_hat, the rate at T = 0.
         """
         ds, t_hat = self.ds, self.t_hat
         m, s = ds.shape
@@ -627,39 +457,65 @@ class _RowLadders:
         last[:, :-1] = ds[:, 1:] != ds[:, :-1]
         k = np.minimum.accumulate(np.where(last, cols, s)[:, ::-1], axis=1)[:, ::-1]
         k0 = np.count_nonzero(ds <= t_hat[:, None], axis=1)
+        at_k = k + (s + 1) * np.arange(m)[:, None]
         t_in, good, out = _kick_masks(
-            ds, k, np.take_along_axis(self.prefix, k, axis=1),
-            np.take_along_axis(self.suf_inv, k, axis=1), self.caps[:, None], t_hat[:, None],
+            ds, k, np.take(self.prefix, at_k), np.take(self.suf_inv, at_k),
+            self.caps[:, None], t_hat[:, None],
         )
+        return t_in, good, out, k0
 
-        bounds = np.concatenate(
-            (np.zeros((m, 1)), np.where(good, t_in, math.inf), np.where(out, ds, math.inf),
-             t_hat[:, None]), axis=1)
-        step = np.zeros(bounds.shape, dtype=np.intp)
-        step[:, 1 : s + 1] -= good
-        step[:, s + 1 : 2 * s + 1] += out
-        order = np.argsort(bounds, axis=1)
-        bounds = np.take_along_axis(bounds, order, axis=1)
-        suffix = k0[:, None] + np.cumsum(np.take_along_axis(step, order, axis=1), axis=1)
-        keep = np.isfinite(bounds)
-        keep[:, :-1] &= bounds[:, :-1] != bounds[:, 1:]
-        row, col = np.nonzero(keep)
-        starts = np.flatnonzero(row[:-1] == row[1:])
-        b = bounds[row[starts], col[starts + 1]]
-        row, col = row[starts], col[starts]
-        return row, bounds[row, col], b, suffix[row, col]
+    def intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Constant-membership intervals [a, b) covering [0, t_hat) of rows with t_hat > 0.
+
+        Returns them flat, in row order: (row, a, b, k), k the suffix start.
+        The finite bounds of all rows, 0, the kick-ins, the kick-outs and
+        t_hat, are sorted once by (row, bound).  A kick-in shrinks the
+        suffix and a kick-out grows it, so k0 plus the running count of a
+        row's events is its suffix start; merging equal bounds into the last
+        of their run counts every event at a bound, as searchsorted does.
+        """
+        t_in, good, out, k0 = self.kicks()
+        m = k0.size
+        in_row, out_row = np.nonzero(good)[0], np.nonzero(out)[0]
+        first = np.arange(m)
+        rows = np.concatenate((first, in_row, out_row, first))
+        bounds = np.concatenate((np.zeros(m), t_in[good], self.ds[out], self.t_hat))
+        step = np.zeros(rows.size, dtype=np.intp)
+        step[m : m + in_row.size] = -1
+        step[m + in_row.size : rows.size - m] = 1
+        order = np.lexsort((bounds, rows))
+        rows, bounds = rows[order], bounds[order]
+        count = np.cumsum(step[order])
+        # a row's first entry is its bound 0, which moves nobody; the last, t_hat, ends it
+        suffix = count + (k0 - count[np.searchsorted(rows, first)])[rows]
+        keep = np.flatnonzero(np.append(bounds[:-1] != bounds[1:], True))
+        lo, hi = keep[:-1], keep[1:]
+        same = rows[lo] == rows[hi]
+        lo, hi = lo[same], hi[same]
+        return rows[lo], bounds[lo], bounds[hi], suffix[lo]
 
 
 def _scan_rows(
-    rows: np.ndarray, caps: np.ndarray, rho: float, dense: bool
+    rows: np.ndarray, caps: np.ndarray, rho: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_optimize_ladder`'s scan of rows whose caps lie below their sums.
+    """Best candidate over [0, t_hat] of each row whose cap lies below its sum: (t, r, regret).
 
+    Per interval the candidates are the interior root (where r(T) = T), then
+    the left endpoint, then the right.  Comparisons carry a relative float
+    tolerance: on a single-member plateau the regret is constant, and an
+    endpoint must not displace the r = T point by an ulp.  Within tolerance
+    the root wins, then the leftmost candidate, keeping ties deterministic.
     Rows with t_hat <= 0 are planned T = r = 0, at regret s, and rows with
-    t_hat at or past their largest demand are not throttled.  The other
-    rows' intervals run flat, tagged by row, through the single scan's
-    candidate, filter and pick code, each candidate's dense regret summed
-    over its own row and each row's filter against its own tie bar.
+    t_hat at or past their largest demand, covered up to rounding, are not
+    throttled: (inf, inf, 0.0).  The other rows' intervals run flat, tagged
+    by row, each candidate's dense regret summed over its own row and each
+    row's filter against its own tie bar.
+
+    The :data:`_DENSE_TERMS` rule is judged from the intervals found: when
+    their candidates could all be summed densely in that many terms a row,
+    counting :data:`_FILTER_ROWS` rows more, or rho is not an integer, every
+    candidate is scored densely; otherwise only those :func:`_near_best`
+    keeps.  The picks are the same either way.
     """
     m, s = rows.shape
     lad = _RowLadders.build(rows, caps)
@@ -669,15 +525,98 @@ def _scan_rows(
     live = np.flatnonzero((lad.t_hat > 0) & ~covered)
     if not live.size:
         return t, r, reg
-    lad = lad.take(live)
+    if live.size < m:
+        lad = lad.take(live)
     row, a, b, k = lad.intervals()
-    open_ = s - k > 0
+    open_ = k < s
     row, a, b, k = row[open_], a[open_], b[open_], k[open_]
+    terms = 3 * row.size * s
+    dense = not float(rho).is_integer() or terms <= _DENSE_TERMS * (live.size + _FILTER_ROWS)
     t_best, r_best, reg_best, pick_loc = _interval_picks(
         lad.ds, row, a, b, k, lad.caps[row] - lad.prefix[row, k], lad.suf_inv[row, k], rho, dense)
     i = _first_best(row, live.size, reg_best, pick_loc)
     t[live], r[live], reg[live] = t_best[i], r_best[i], reg_best[i]
     return t, r, reg
+
+
+def _optimize_rows(
+    rows: np.ndarray, capacities: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-regret (t, r, regret) arrays of every row, each row planned as if alone.
+
+    ``rows`` is (m, s), one demand set per row, and ``capacities`` (m,);
+    a row whose capacity reaches its sum is not throttled: (inf, inf, 0.0).
+    Rows are scanned in chunks of about :data:`_CHUNK_TERMS` moment terms:
+    a row has at most 2 s + 1 intervals of three candidates, each of
+    2 rho + 1 terms.  The dense sums run in blocks of their own.
+    """
+    rows = np.asarray(rows, dtype=float)
+    capacities = np.asarray(capacities, dtype=float)
+    m, s = rows.shape
+    t, r, reg = np.full(m, math.inf), np.full(m, math.inf), np.zeros(m)
+    todo = np.flatnonzero(capacities < rows.sum(axis=1))
+    per_row = 3 * (2 * s + 1) * (2 * math.ceil(rho) + 1)
+    chunk = max(1, _CHUNK_TERMS // per_row)
+    for lo in range(0, todo.size, chunk):
+        part = todo[lo : lo + chunk]
+        t[part], r[part], reg[part] = _scan_rows(rows[part], capacities[part], rho)
+    return t, r, reg
+
+
+def optimize_download(
+    pop: Population, capacity: float, params: RegretParams
+) -> DownloadSolution:
+    """Least-regret download plan meeting capacity, as the interval scan finds it.
+
+    Demands fold activity in (a downloader shifted to off-hours consumes the
+    same bytes), so the plan depends only on d_i = rate * activity.  The
+    returned plan satisfies capacity exactly; its rate equals its threshold
+    unless the pick is an interval end.  The scan can miss a minimum off
+    the r = T diagonal (see the module docstring).
+    """
+    _check_params(params)
+    _check_capacity(capacity)
+    if capacity >= pop.total_demand:
+        return DownloadSolution(Plan.no_throttling(Mode.DOWNLOAD), 0.0)
+    t, r, reg = optimize_demands(pop.demands, capacity, params.rho)
+    return DownloadSolution(Plan(t, r, Mode.DOWNLOAD), reg)
+
+
+def optimize_demands(demands: np.ndarray, capacity: float, rho: float) -> tuple[float, float, float]:
+    """Array-level fast path: (threshold, rate, regret) for raw demands.
+
+    The one-row case of :func:`_optimize_rows`, without building a
+    population; the tier game calls this in bulk.
+    """
+    t, r, reg = _optimize_rows(np.asarray(demands, dtype=float)[None], np.array([capacity]), rho)
+    return float(t[0]), float(r[0]), float(reg[0])
+
+
+def _tight_suffixes(
+    ds: np.ndarray, prefix: np.ndarray, suf_inv: np.ndarray, capacity: float, ts: np.ndarray
+) -> np.ndarray:
+    """Suffix start of the capacity-tight throttled set at each threshold of ``ts``.
+
+    Demands at or below T are never throttled.  Past them,
+    c_j(T) = P[j + 1] + h T + d_j (h - T S[j + 1]), h = n - j - 1, is the
+    consumption at rate r = d_j with the demands above d_j throttled.  It
+    rises with j, by (d_{j+1} - d_j) times the throttled members' sum of
+    1 - T/d, so the suffix starts at the first j with c_j(T) >= C, found by
+    bisection over the sorted demands ds.
+    """
+    n = ds.size
+    lo = np.searchsorted(ds, ts, side="right")
+    hi = np.full(ts.size, n)
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) // 2
+        j = np.minimum(mid, n - 1)
+        h = n - j - 1
+        below = prefix[j + 1] + h * ts + ds[j] * (h - ts * suf_inv[j + 1]) < capacity
+        lo = np.where(active & below, mid + 1, lo)
+        hi = np.where(active & ~below, mid, hi)
 
 
 def threshold_curve(
@@ -687,7 +626,8 @@ def threshold_curve(
 
     T runs over the grid {0, step, 2*step, ...} up to and including the
     zero-rate threshold, r is the capacity-tight rate at each T, regret the
-    aggregate at (T, r).
+    aggregate at (T, r).  Each row's throttled set comes from
+    :func:`_tight_suffixes`, not from the kick events the scan reads.
     """
     _check_params(params)
     _check_capacity(capacity)
@@ -695,12 +635,13 @@ def threshold_curve(
         raise ValidationError(f"step must be positive, got {step}")
     if capacity >= pop.total_demand:
         raise ValidationError("curve is undefined when capacity covers demand")
-    lad = _Ladder(pop.demands, capacity)
-    _check_grid_size(lad.t_hat / step)
-    grid = np.arange(0.0, lad.t_hat, step)
-    grid = np.append(grid, lad.t_hat)
-    k, r = lad.fixed_point_vec(grid)
-    reg = _dense_regrets(lad.ds[None], np.zeros(k.size, dtype=np.intp), k, grid, r, params.rho)
+    lad = _RowLadders.build(pop.demands[None], np.array([float(capacity)]))
+    ds, prefix, suf_inv, t_hat = lad.ds[0], lad.prefix[0], lad.suf_inv[0], float(lad.t_hat[0])
+    _check_grid_size(t_hat / step)
+    grid = np.append(np.arange(0.0, t_hat, step), t_hat)
+    k = _tight_suffixes(ds, prefix, suf_inv, capacity, grid)
+    r = _tight_rates(ds.size - k, capacity - prefix[k], suf_inv[k], grid)
+    reg = _dense_regrets(lad.ds, np.zeros(k.size, dtype=np.intp), k, grid, r, params.rho)
     return np.column_stack((grid, r, reg))
 
 
@@ -710,8 +651,8 @@ def grid_oracle(
     """Brute-force reference optimizer: best point on a dense threshold grid."""
     _check_capacity(capacity)
     if capacity >= pop.total_demand:
-        return DownloadSolution(Plan.no_throttling(Mode.DOWNLOAD), 0.0, ())
+        return DownloadSolution(Plan.no_throttling(Mode.DOWNLOAD), 0.0)
     curve = threshold_curve(pop, capacity, params, step)
     i = int(np.argmin(curve[:, 2]))
     t, r, reg = curve[i]
-    return DownloadSolution(Plan(float(t), float(r), Mode.DOWNLOAD), float(reg), ())
+    return DownloadSolution(Plan(float(t), float(r), Mode.DOWNLOAD), float(reg))

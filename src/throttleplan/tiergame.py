@@ -72,7 +72,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .allocation import Mode, Plan, _check_capacity, _zero_rate_bound
+from .allocation import Mode, Plan, _check_capacity
 from .download import _check_grid_size, _check_params, _optimize_rows, optimize_demands
 from .errors import InfeasibleError, ThrottlePlanError, ValidationError
 from .population import DEFAULT_SEED, Population, assign_tiers_binomial
@@ -254,23 +254,6 @@ def _move_regret(
     return params.kappa * price + _regret(demand, 1.0, target_plan, params), target_plan
 
 
-def _zero_rate_threshold(demands: np.ndarray, members: Sequence[int], share: float) -> float:
-    """t_hat of a tier: the threshold meeting its share at rate 0.
-
-    Every plan of the tier, or of the tier with members added, keeps T and r
-    within it; :func:`_join_levels` sharpens it for one joiner.  inf for an
-    empty tier or a share covering the members' demand, where no finite
-    bound holds.
-    """
-    if not members:
-        return math.inf
-    ds = np.sort(demands[list(members)])
-    prefix = np.concatenate(([0.0], np.cumsum(ds)))
-    if share >= prefix[-1]:
-        return math.inf
-    return _zero_rate_bound(ds, prefix, share)
-
-
 def _join_levels(demands: np.ndarray, members: Sequence[int], share: float) -> tuple[float, float]:
     """(zero-rate level, r = T crossing) of a tier about to take one more member.
 
@@ -299,7 +282,7 @@ def _join_levels(demands: np.ndarray, members: Sequence[int], share: float) -> t
     return zero, cross
 
 
-def _join_floor(price_term: float, t_zero: float, demand, exponent: float, t_cross=None):
+def _join_floor(price_term: float, t_zero: float, demand, exponent: float, t_cross: float):
     """Lower bound on the regret of a user of this demand joining a tier.
 
     ``exponent`` is rho + tau, with rho = tau, and ``demand`` is one demand
@@ -307,13 +290,11 @@ def _join_floor(price_term: float, t_zero: float, demand, exponent: float, t_cro
     clipped at 0, with high = ``t_zero`` and low = 2 ``t_cross`` - high,
     both levels raised by 1e-9 relative and the power lowered by 1e-9.
     With :func:`_join_levels`' two levels it bounds every plan the tier
-    can take with the joiner.  Without ``t_cross``, low = high and it
-    bounds every plan with T and r at most ``t_zero``, the tier's t_hat.
-    The module docstring derives it and the margins.
+    can take with the joiner.  The module docstring derives it and the
+    margins.
     """
-    high = low = t_zero * (1.0 + 1e-9)
-    if t_cross is not None:
-        low = 2.0 * t_cross * (1.0 + 1e-9) - high
+    high = t_zero * (1.0 + 1e-9)
+    low = 2.0 * t_cross * (1.0 + 1e-9) - high
     gap = np.clip(1.0 - high / demand, 0.0, None) * np.clip(1.0 - low / demand, 0.0, None)
     return price_term + gap ** (0.5 * exponent) * (1.0 - 1e-9)
 

@@ -107,7 +107,7 @@ def test_criterion_03_oracle_equivalence():
     for seed in range(100):
         pop = generate_lognormal(20, 0.0, 0.5, seed=seed)
         cap = 0.8 * pop.total_demand
-        sol = optimize_download(pop, cap, P2, with_intervals=False)
+        sol = optimize_download(pop, cap, P2)
         step = 1e-4 * max_threshold(pop, cap).threshold
         oracle = grid_oracle(pop, cap, P2, step)
         gap = sol.regret - oracle.regret
@@ -336,7 +336,7 @@ def test_criterion_10a_fairness_ordering():
     for seed in (0, 1):
         pop = generate_lognormal(40, 0.0, 0.5, seed=seed)
         cap = 0.8 * pop.total_demand
-        plan = optimize_download(pop, cap, P2, with_intervals=False).plan
+        plan = optimize_download(pop, cap, P2).plan
         hot = partition(pop, plan).throttled
         users = [pop[i] for i in hot]
         allocs = [allocation(u, plan) for u in users]
@@ -370,7 +370,7 @@ def test_criterion_10b_rate_meets_threshold():
         n = int(rng.integers(1, 31))
         pop = generate_lognormal(n, 0.0, 0.6, seed=1000 + k)
         cap = float(rng.uniform(0.5, 0.95)) * pop.total_demand
-        plan = optimize_download(pop, cap, P2, with_intervals=False).plan
+        plan = optimize_download(pop, cap, P2).plan
         gap = abs(plan.rate - plan.threshold)
         worst = max(worst, gap)
         if gap > 1e-9:
@@ -416,7 +416,7 @@ def test_criterion_10d_capacity_conservation(stream3, pop4):
     for seed in range(25):
         pop = generate_lognormal(20, 0.0, 0.5, seed=seed)
         cap = 0.8 * pop.total_demand
-        plan = optimize_download(pop, cap, P2, with_intervals=False).plan
+        plan = optimize_download(pop, cap, P2).plan
         check(f"download seed {seed}", consumption(pop, plan), cap)
     for seed in range(10):
         pop = generate_codec_uniform(50, LADDER.rates, seed=seed)

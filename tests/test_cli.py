@@ -521,3 +521,20 @@ def test_curve_step_over_the_grid_cap_exits_2(pop4, tmp_path):
     assert err.splitlines() == [
         "error: a grid of 5.5e+11 points exceeds the cap of 1000000; use a coarser step"
     ]
+
+
+def test_curve_step_zero_exits_2(pop4, tmp_path):
+    path = write_pop(pop4, tmp_path)
+    code, _, err = run(["optimize", "--pop", path, "--capacity", 1.8,
+                        "--curve", tmp_path / "c.csv", "--curve-step", "0"])
+    assert code == 2
+    assert err.splitlines() == ["error: step must be positive, got 0.0"]
+
+
+def test_zero_capacity_curve_is_the_single_zero_row(pop4, tmp_path):
+    path = write_pop(pop4, tmp_path)
+    curve = tmp_path / "curve.csv"
+    code, out, _ = run(["optimize", "--pop", path, "--capacity", 0, "--curve", curve])
+    assert code == 0
+    assert f"curve={curve} points=1" in out
+    assert curve.read_text().splitlines() == ["T,r,regret", "0,0,4"]

@@ -18,7 +18,13 @@ from throttleplan import (
     optimize_download,
     threshold_curve,
 )
-from throttleplan.download import MAX_GRID_POINTS, _optimize_rows, optimize_demands
+from throttleplan.download import (
+    MAX_GRID_POINTS,
+    _interval_picks,
+    _optimize_rows,
+    _RowLadders,
+    optimize_demands,
+)
 
 P2 = RegretParams()
 
@@ -79,36 +85,32 @@ def test_optimum_threshold_does_not_depend_on_exponent(pop4):
 
 
 def test_intervals_worked_instance(pop4):
-    sol = optimize_download(pop4, 1.8, P2, with_intervals=True)
-    ivs = sol.intervals
-    assert len(ivs) == 5
-    assert [iv.throttled for iv in ivs] == [
-        (3,),
-        (2, 3),
-        (1, 2, 3),
-        (2, 3),
-        (3,),
-    ]
+    lad = _RowLadders.build(pop4.demands[None], np.array([1.8]))
+    row, lo, hi, k = lad.intervals()
+    assert row.tolist() == [0] * 5
+    # the demands are already sorted, so the suffix from k holds users k..3
+    assert k.tolist() == [3, 2, 1, 2, 3]
     # contiguous cover of [0, t_hat)
-    assert ivs[0].lo == 0.0
-    assert ivs[-1].hi == pytest.approx(0.55, abs=1e-12)
-    for left, right in zip(ivs, ivs[1:]):
-        assert left.hi == right.lo
+    assert lo[0] == 0.0
+    assert hi[-1] == pytest.approx(0.55, abs=1e-12)
+    assert lo[1:].tolist() == hi[:-1].tolist()
+    t, _, regret, _ = _interval_picks(
+        lad.ds, row, lo, hi, k, 1.8 - lad.prefix[0, k], lad.suf_inv[0, k], 2.0, True)
+    sol = optimize_download(pop4, 1.8, P2)
     # the global optimum lives in the middle interval
-    assert ivs[2].threshold == pytest.approx(sol.plan.threshold, rel=1e-12)
-    assert ivs[2].regret == pytest.approx(sol.regret, rel=1e-12)
+    assert t[2] == pytest.approx(sol.plan.threshold, rel=1e-12)
+    assert regret[2] == pytest.approx(sol.regret, rel=1e-12)
     # single-member plateaus at both ends carry the same constant regret,
     # and the two-member intervals mirror each other
-    assert ivs[0].regret == pytest.approx(0.2025, rel=1e-12)
-    assert ivs[4].regret == pytest.approx(0.2025, rel=1e-12)
-    assert ivs[1].regret == pytest.approx(ivs[3].regret, rel=1e-9)
-    assert sol.regret < ivs[1].regret < ivs[0].regret
+    assert regret[0] == pytest.approx(0.2025, rel=1e-12)
+    assert regret[4] == pytest.approx(0.2025, rel=1e-12)
+    assert regret[1] == pytest.approx(regret[3], rel=1e-9)
+    assert sol.regret < regret[1] < regret[0]
 
 
-def test_with_intervals_flag(pop4):
-    sol = optimize_download(pop4, 1.8, P2, with_intervals=False)
+def test_solution_carries_no_interval_records(pop4):
+    sol = optimize_download(pop4, 1.8, P2)
     assert sol.intervals == ()
-    assert optimize_download(pop4, 1.8, P2) == sol  # records are opt-in
     assert sol.regret == pytest.approx(0.1659410854222299, rel=1e-12)
 
 
@@ -201,15 +203,11 @@ def test_threshold_curve_worked_instance(pop4):
     assert curve[:, 2].min() >= sol.regret - 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="the curve's fixed point stops off the capacity curve one ulp below full demand",
-)
 def test_threshold_curve_meets_capacity_near_full_demand():
-    # C = 4.082 lies one ulp below the demand sum.  The fixed-point iteration
-    # behind the curve gives r = 0.51025 at T = 0, consuming 3.04 where the
-    # capacity-tight rate t_hat = 0.976 consumes C; the rows at T = 0.1, 0.2
-    # and 0.4 consume 3.32, 3.66 and 4.00.
+    # C = 4.082 lies one ulp below the demand sum.  A fixed-point iteration
+    # for the throttled set stops at r = 0.51025 at T = 0, consuming 3.04
+    # where the capacity-tight rate t_hat = 0.976 consumes C; every row must
+    # meet C.
     rates = [0.168, 0.228, 0.27, 0.421, 0.423, 0.747, 0.849, 0.976]
     pop = Population([UserProfile(i, rate, 1.0) for i, rate in enumerate(rates)])
     assert 4.082 < pop.total_demand
@@ -229,7 +227,7 @@ def test_optimizer_beats_grid_oracle_on_random_instances():
     for seed in range(8):
         pop = generate_lognormal(12, 0.0, 0.5, seed=seed)
         capacity = 0.75 * pop.total_demand
-        sol = optimize_download(pop, capacity, P2, with_intervals=False)
+        sol = optimize_download(pop, capacity, P2)
         oracle = grid_oracle(pop, capacity, P2, step=1e-3 * capacity)
         assert sol.regret <= oracle.regret + 1e-12
         assert consumption(pop, sol.plan) == pytest.approx(capacity, abs=1e-9 * capacity)

@@ -9,6 +9,8 @@ instances; its event-read membership must equal the fixed point at every
 midpoint, and its state at T = 0, read off t_hat, the fixed point at 0; and
 its moment-form estimate must lie within its stated error of
 the dense regret at every candidate of every interval, not only the winner.
+The ladders are ``test_download_rows``' reference single ladders, and the
+library's intervals come from its row builder run on one row.
 """
 
 import math
@@ -16,15 +18,20 @@ import math
 import numpy as np
 import pytest
 
-from throttleplan.download import (
-    _intervals,
-    _kick_thresholds as _library_kicks,
-    _Ladder,
-    _moments,
-    _optimize_ladder,
-    _regret_moments,
-    optimize_demands,
-)
+from test_download_rows import _Ladder
+from throttleplan import Population, RegretParams, UserProfile, threshold_curve
+from throttleplan.download import _moments, _regret_moments, _RowLadders, optimize_demands
+
+
+def _row_ladder(lad):
+    """The library's one-row ladder of a reference ladder's demands and capacity."""
+    return _RowLadders.build(lad.ds[None], np.array([lad.capacity]))
+
+
+def _intervals(lad):
+    """The library's interval bounds [a, b) and suffix starts k of one ladder."""
+    _, a, b, k = _row_ladder(lad).intervals()
+    return a, b, k
 
 
 def _fixed_point_vec(lad, ts):
@@ -159,13 +166,12 @@ def test_moment_scan_matches_dense_scan(block):
     for _ in range(250):
         demands, capacity = _random_instance(rng)
         rho = float(rng.choice([2.0, 3.0, 4.0, 2.5]))
-        lad = _Ladder(demands, capacity)
-        got = _optimize_ladder(lad, rho, want_intervals=False)[:3]
-        assert got == _dense_optimize(lad, rho), (demands.tolist(), capacity, rho)
-        total = float(demands.sum())
-        assert optimize_demands(demands, capacity, rho) == (
-            got if capacity < total else (math.inf, math.inf, 0.0)
-        )
+        got = optimize_demands(demands, capacity, rho)
+        if capacity < float(demands.sum()):
+            want = _dense_optimize(_Ladder(demands, capacity), rho)
+        else:
+            want = (math.inf, math.inf, 0.0)
+        assert got == want, (demands.tolist(), capacity, rho)
 
 
 def test_event_membership_equals_fixed_point():
@@ -187,7 +193,8 @@ def test_event_membership_equals_fixed_point():
 def _assert_zero_state_is_t_hat(lad):
     """The events start from (#ds <= t_hat, t_hat), the fixed point at T = 0."""
     k0, r0 = _fixed_point_vec(lad, np.zeros(1))
-    assert (int(k0[0]), float(r0[0]).hex()) == (_library_kicks(lad)[4], float(lad.t_hat).hex())
+    assert (int(k0[0]), float(r0[0]).hex()) == (
+        int(_row_ladder(lad).kicks()[3][0]), float(lad.t_hat).hex())
 
 
 @pytest.mark.parametrize(
@@ -241,3 +248,17 @@ def test_moment_table_is_the_suffix_sum_of_powers():
     for m in range(5):
         for k in range(6):
             assert table[m, 0, 5 - k] == pytest.approx(float(np.sum(ds[k:] ** -m)), rel=1e-15)
+
+
+def test_curve_rates_equal_the_fixed_point():
+    """Away from full demand the curve's bisected suffixes give the fixed point's rates, bit for bit."""
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        demands, capacity = _random_instance(rng)
+        pop = Population([UserProfile(i, float(d), 1.0) for i, d in enumerate(demands)])
+        if capacity >= float(np.sort(demands).cumsum()[-1]):
+            continue
+        curve = threshold_curve(pop, capacity, RegretParams(), step=float(demands.max()) / 37)
+        lad = _Ladder(pop.demands, capacity)
+        _, want = _fixed_point_vec(lad, curve[:, 0])
+        assert curve[:, 1].tobytes() == want.tobytes(), (demands.tolist(), capacity)

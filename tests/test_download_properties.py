@@ -79,7 +79,7 @@ def lipschitz_bound(pop, params):
 @given(instances())
 def test_optimum_is_tight_and_consistent(case):
     pop, capacity, params = case
-    sol = optimize_download(pop, capacity, params, with_intervals=False)
+    sol = optimize_download(pop, capacity, params)
     plan = sol.plan
     t_hat = max_threshold(pop, capacity).threshold
     assert 0.0 <= plan.threshold <= t_hat
@@ -110,7 +110,7 @@ OFF_DIAGONAL = pytest.mark.xfail(
 @given(instances())
 def test_optimum_is_never_beaten_by_the_grid(case):
     pop, capacity, params = case
-    sol = optimize_download(pop, capacity, params, with_intervals=False)
+    sol = optimize_download(pop, capacity, params)
     step = max_threshold(pop, capacity).threshold / GRID_POINTS
     assume(step > 0.0)
     # every grid point is a feasible plan, so it cannot beat the exact optimum
@@ -123,7 +123,7 @@ def test_optimum_is_never_beaten_by_the_grid(case):
 @given(instances())
 def test_rate_meets_threshold(case):
     pop, capacity, params = case
-    plan = optimize_download(pop, capacity, params, with_intervals=False).plan
+    plan = optimize_download(pop, capacity, params).plan
     assert abs(plan.rate - plan.threshold) <= 1e-9 * max(plan.rate, plan.threshold)
 
 
@@ -155,7 +155,7 @@ def test_throttled_allocation_and_regret_rise_with_demand(case):
     # criterion 10a: among throttled users a heavier user gets at least as
     # much bandwidth and regrets at least as much
     pop, capacity, params = case
-    plan = optimize_download(pop, capacity, params, with_intervals=False).plan
+    plan = optimize_download(pop, capacity, params).plan
     hot = sorted(partition(pop, plan).throttled, key=lambda i: pop[i].demand)
     allocs = np.array([allocation(pop[i], plan) for i in hot])
     regrets = np.array([user_regret(pop[i], plan, params) for i in hot])

@@ -1,21 +1,27 @@
-"""The row-batched interval scan against the single solve.
+"""The row-batched interval scan, its one interval builder, and reference single ladders.
 
 ``_optimize_rows`` solves many demand sets at once, for the two-tier
-enumeration's subset table and the Stackelberg deviation tables.  Every row
-must give exactly what ``optimize_demands`` gives for that row alone: the
-same (t, r, regret), bit for bit, signs of zeros included.  The draws cover
-tied demands (codec rates times percent activities), lognormal demands over
-many scales, capacities of 0, inside (0, row sum), one ulp below the row
-sum, at it and above it, and batches that cross the scan's row chunks,
-under the default budget and under budgets shrunk to a few rows a chunk.
-Small rows are scored densely; rows of 50-250 members, one shared base plus
-one extra demand each as the Stackelberg loop builds them, go through the
-moment filter, which must pick what the dense scan picks with every
-candidate scored, whichever of the two the dense-terms rule selects.  The
-row ladders, their moment tables and their interval bounds with suffix
-starts must equal each single ladder's, since a user exactly at a kick
-threshold consumes and regrets the same in or out of the suffix: a wrong
-count there can hide in the rounding of the final pick.
+enumeration's subset table and the Stackelberg deviation tables, and a
+single solve is its one-row case.  Every row must give exactly what its own
+one-row batch gives: the same (t, r, regret), bit for bit, signs of zeros
+included.  The draws cover tied demands (codec rates times percent
+activities), lognormal demands over many scales, capacities of 0, inside
+(0, row sum), one ulp below the row sum, at it and above it, and batches
+that cross the scan's row chunks, under the default budget and under
+budgets shrunk to a few rows a chunk.  Small rows are scored densely; rows
+of 50-250 members, one shared base plus one extra demand each as the
+Stackelberg loop builds them, go through the moment filter, which must pick
+what the dense scan picks with every candidate scored, whichever of the two
+the dense-terms rule selects.
+
+``_Ladder``, ``_kick_thresholds`` and ``_intervals`` below are the single
+scan's ladder, kick thresholds and interval bounds, kept here as the
+reference: one row at a time, the bounds merged by ``np.unique`` and the
+suffix starts read by ``searchsorted``.  The row ladders, their moment
+tables and the flat builder's bounds with suffix starts must equal them bit
+for bit, since a user exactly at a kick threshold consumes and regrets the
+same in or out of the suffix: a wrong count there can hide in the rounding
+of the final pick.
 """
 from unittest import mock
 
@@ -23,15 +29,59 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from throttleplan import Population, UserProfile, kick_points
 from throttleplan import download
+from throttleplan.allocation import _zero_rate_bound
 from throttleplan.download import (
-    _intervals,
-    _Ladder,
+    _kick_masks,
     _moments,
     _optimize_rows,
     _RowLadders,
     optimize_demands,
 )
+
+
+class _Ladder:
+    """Sorted demands of one row with the prefix/suffix sums every formula needs."""
+
+    def __init__(self, demands, capacity):
+        self.order = np.argsort(demands, kind="stable")
+        self.ds = demands[self.order]
+        self.n = self.ds.size
+        self.capacity = capacity
+        self.prefix = np.concatenate(([0.0], np.cumsum(self.ds)))
+        inv = 1.0 / self.ds
+        self.suf_inv = np.concatenate((np.cumsum(inv[::-1])[::-1], [0.0]))
+        self.t_hat = _zero_rate_bound(self.ds, self.prefix, capacity)
+
+
+def _kick_thresholds(lad):
+    """Membership-change thresholds in [0, t_hat) as (t_in, who_in, t_out, who_out, k0).
+
+    k0 is the suffix start of the throttled set at T = 0: the demands above
+    r = t_hat.
+    """
+    ds = lad.ds
+    k = np.searchsorted(ds, ds, side="right")
+    t_in, good, out = _kick_masks(ds, k, lad.prefix[k], lad.suf_inv[k], lad.capacity, lad.t_hat)
+    idx = np.arange(lad.n)
+    k0 = int(np.searchsorted(ds, lad.t_hat, side="right"))
+    return t_in[good], idx[good], ds[out], idx[out], k0
+
+
+def _intervals(lad):
+    """Constant-membership intervals [a, b) covering [0, t_hat), with suffix starts k."""
+    t_in, _, t_out, _, k0 = _kick_thresholds(lad)
+    bounds = np.unique(np.concatenate(([0.0], t_in, t_out, [lad.t_hat])))
+    a, b = bounds[:-1], bounds[1:]
+    # every kick-in at or before a has joined the suffix, every kick-out left it
+    k = (
+        k0
+        - np.searchsorted(np.sort(t_in), a, side="right")
+        + np.searchsorted(t_out, a, side="right")
+    )
+    return a, b, k
+
 
 CODEC_RATES = np.array([0.2, 0.4, 0.8, 1.5, 3.0])
 RHOS = st.sampled_from([2.0, 3.0, 2.5])
@@ -163,7 +213,8 @@ def test_large_rows_match_the_dense_single_solve(batch, rho, dense_terms, budget
 
 def test_rows_across_the_default_chunk_boundary():
     s = 20
-    chunk = download._CHUNK_TERMS // (3 * (2 * s + 1) * s)
+    # 2 s + 1 intervals of three candidates a row, 2 rho + 1 = 5 moment terms each
+    chunk = download._CHUNK_TERMS // (3 * (2 * s + 1) * 5)
     rng = np.random.default_rng(5)
     rows = np.concatenate((_tied_rows(rng, chunk + 40, s), _lognormal_rows(rng, chunk + 40, s)))
     _assert_rows_match(rows, _capacities(rng, rows), 2.0)
@@ -183,3 +234,46 @@ def test_covered_and_empty_rows():
     assert reg.tolist() == [0.0, 0.0]
     t, r, reg = _optimize_rows(np.empty((3, 0)), np.zeros(3), 2.0)
     assert t.tolist() == [np.inf] * 3 and reg.tolist() == [0.0] * 3
+
+
+def test_mixed_batch_matches_the_reference_and_one_row_batches():
+    """One row of each kind in a batch: every row as the reference reads it and as it plans alone."""
+    s = 4000
+    rng = np.random.default_rng(3)
+    no_kicks = np.full(s, 0.5)
+    zero_rate = _lognormal_rows(rng, 1, s)[0]
+    # one ulp below these sums, rounding puts t_hat past the largest demand
+    covered = np.tile([0.168, 0.228, 0.27, 0.421, 0.423, 0.747, 0.849, 0.976], s // 8)
+    tied = _tied_rows(rng, 1, s)[0]
+    filtered = rng.lognormal(0.0, 0.5, s)
+    rows = np.array([no_kicks, zero_rate, covered, tied, filtered])
+    caps = np.array([0.5 * no_kicks.sum(), 0.0, np.nextafter(covered.sum(), 0),
+                     0.6 * tied.sum(), 0.8 * filtered.sum()])
+    singles = [_Ladder(row, float(cap)) for row, cap in zip(rows, caps)]
+    assert _kick_thresholds(singles[0])[0].size == _kick_thresholds(singles[0])[2].size == 0
+    assert singles[1].t_hat <= 0
+    assert singles[2].t_hat >= singles[2].ds[-1]
+    assert np.unique(tied).size < s // 10
+    assert 3 * _intervals(singles[4])[0].size * s > download._DENSE_TERMS
+    _assert_ladders_match(rows, caps)
+    t, r, reg = _optimize_rows(rows, caps, 2.0)
+    for i in range(rows.shape[0]):
+        alone = _optimize_rows(rows[i : i + 1], caps[i : i + 1], 2.0)
+        assert _bits((t[i], r[i], reg[i])) == _bits(v[0] for v in alone), i
+    assert (t[1], r[1], reg[1]) == (0.0, 0.0, float(s))
+    assert (t[2], r[2], reg[2]) == (np.inf, np.inf, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=batches())
+def test_kick_points_match_the_reference_thresholds(batch):
+    for row, cap in zip(*batch):
+        pop = Population([UserProfile(i, float(d), 1.0) for i, d in enumerate(row)])
+        if not 0.0 <= cap < pop.total_demand or cap >= float(row.sum()):
+            continue
+        lad = _Ladder(pop.demands, float(cap))
+        t_in, who_in, t_out, who_out, _ = _kick_thresholds(lad)
+        want = sorted([(float(t), 0, int(i)) for t, i in zip(t_in, who_in)]
+                      + [(float(t), 1, int(i)) for t, i in zip(t_out, who_out)])
+        got = [(e.threshold, e.kind.value, e.user) for e in kick_points(pop, float(cap))]
+        assert got == [(t, kind, int(lad.order[i])) for t, kind, i in want]

@@ -11,7 +11,8 @@ against the regret ``_move_regret`` reports on random tiers, and against
 any plan inside its stated margin.  The Stackelberg loop's floor, from the
 tier's zero-rate level and r = T crossing as they would be with one more
 member, is checked against solved deviations, against every capacity-tight
-plan of the grown tier, and against the tier's plain t_hat floor it refines.
+plan of the grown tier, and against the tier's plain t_hat floor it refines;
+that floor and the tier's t_hat are kept below as references.
 """
 
 import math
@@ -39,7 +40,8 @@ from throttleplan import (
     tiergame,
 )
 from throttleplan.allocation import Mode
-from throttleplan.download import _Ladder, _intervals, _optimize_ladder, _tight_rates
+from throttleplan.allocation import _zero_rate_bound
+from throttleplan.download import _RowLadders, _tight_rates, optimize_demands
 from throttleplan.population import assign_tiers_binomial
 from throttleplan.regret import _regret
 from throttleplan.tiergame import (
@@ -51,11 +53,37 @@ from throttleplan.tiergame import (
     _move_regret,
     _tier_consumption,
     _total_regret,
-    _zero_rate_threshold,
 )
 from throttleplan.regret import tiered_aggregate_regret
 
 KAPPAS = (0.0, 0.01, 0.05, 0.2)
+
+
+def _zero_rate_threshold(demands, members, share):
+    """t_hat of a tier: the threshold meeting its share at rate 0.
+
+    Every plan of the tier, or of the tier with members added, keeps T and r
+    within it.  inf for an empty tier or a share covering the members'
+    demand, where no finite bound holds.
+    """
+    if not members:
+        return math.inf
+    ds = np.sort(demands[list(members)])
+    prefix = np.concatenate(([0.0], np.cumsum(ds)))
+    if share >= prefix[-1]:
+        return math.inf
+    return _zero_rate_bound(ds, prefix, share)
+
+
+def _zero_rate_floor(price_term, t_hat, demand, exponent):
+    """The tier's plain floor: ``_join_floor`` with both levels at t_hat.
+
+    It bounds every plan with T and r at most t_hat, and the crossing floor
+    refines it.
+    """
+    factor = np.clip(1.0 - t_hat * (1.0 + 1e-9) / demand, 0.0, None)
+    gap = factor * factor
+    return price_term + gap ** (0.5 * exponent) * (1.0 - 1e-9)
 
 
 def _reference_deviation(demands, plan, target, user, share, price, params):
@@ -340,13 +368,13 @@ def test_floor_never_exceeds_the_solved_deviation(members, mover, fraction, pric
     t_hat = _zero_rate_threshold(demands, tier, share)
     dev, _ = _move_regret(
         mover, _by_tier(plan, (share,)), tier, len(members), 0, price_term, params)
-    assert _join_floor(price_term, t_hat, mover, 2 * rho) <= dev
+    assert _zero_rate_floor(price_term, t_hat, mover, 2 * rho) <= dev
     if share < demands.sum():
-        lad = _Ladder(demands, share)
-        t, r, _, _ = _optimize_ladder(lad, rho, False)
-        assert max(t, r) <= lad.t_hat
+        grown = _zero_rate_threshold(demands, tuple(range(demands.size)), share)
+        t, r, _ = optimize_demands(demands, share, rho)
+        assert max(t, r) <= grown
         # the grown tier's bound sits at or below the tier's own
-        assert lad.t_hat <= t_hat * (1.0 + 1e-9)
+        assert grown <= t_hat * (1.0 + 1e-9)
 
 
 @settings(max_examples=400, deadline=None)
@@ -364,7 +392,7 @@ def test_floor_holds_for_any_plan_inside_its_margin(t_hat, gap, slack, price_ter
     edge = t_hat * (1.0 + slack * 1e-9)
     for t, r in ((edge, edge), (edge, 0.5 * edge), (0.0, edge)):
         regret = price_term + _regret(demand, 1.0, Plan(t, r, Mode.DOWNLOAD), params)
-        assert _join_floor(price_term, t_hat, demand, 2 * rho) <= regret
+        assert _zero_rate_floor(price_term, t_hat, demand, 2 * rho) <= regret
 
 
 def test_zero_rate_threshold_conventions():
@@ -375,9 +403,9 @@ def test_zero_rate_threshold_conventions():
     assert _zero_rate_threshold(demands, (0, 1, 2), 5.0) == 2.0
     assert _zero_rate_threshold(demands, (2,), 0.0) == 0.0
     # no finite bound: only the price term is certain
-    assert _join_floor(0.1, math.inf, 3.0, 4.0) == 0.1
-    assert _join_floor(0.1, 2.0, 2.0, 4.0) == 0.1
-    assert 0.1 < _join_floor(0.1, 2.0, 4.0, 4.0) <= 0.1 + 0.5**4
+    assert _zero_rate_floor(0.1, math.inf, 3.0, 4.0) == 0.1
+    assert _zero_rate_floor(0.1, 2.0, 2.0, 4.0) == 0.1
+    assert 0.1 < _zero_rate_floor(0.1, 2.0, 4.0, 4.0) <= 0.1 + 0.5**4
 
 
 def _share(members, mover, pick, fraction):
@@ -427,14 +455,15 @@ def test_crossing_floor_never_exceeds_the_solved_deviation(
 
 def _tight_plans(demands, share):
     """Capacity-tight (T, r) of these demands: per interval, its ends and inner points, on the exact formula."""
-    lad = _Ladder(demands, share)
-    a, b, k = _intervals(lad)
-    live = lad.n - k > 0
+    lad = _RowLadders.build(demands[None], np.array([share]))
+    _, a, b, k = lad.intervals()
+    n, t_hat = demands.size, float(lad.t_hat[0])
+    live = n - k > 0
     a, b, k = a[live], b[live], k[live]
     ts = np.concatenate([a + (b - a) * w for w in (0.0, 0.1, 0.5, 0.9, 1.0)])
     ks = np.tile(k, 5)
-    rs = _tight_rates((lad.n - ks).astype(float), share - lad.prefix[ks], lad.suf_inv[ks], ts)
-    return [(0.0, lad.t_hat), (lad.t_hat, 0.0), *zip(ts.tolist(), rs.tolist())]
+    rs = _tight_rates((n - ks).astype(float), share - lad.prefix[0, ks], lad.suf_inv[0, ks], ts)
+    return [(0.0, t_hat), (t_hat, 0.0), *zip(ts.tolist(), rs.tolist())]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -490,4 +519,4 @@ def test_crossing_floor_is_at_least_the_zero_rate_floor(
     assert t_cross <= t_zero <= t_hat
     if mover > t_hat:
         new = _join_floor(price_term, t_zero, mover, 2 * rho, t_cross)
-        assert new >= _join_floor(price_term, t_hat, mover, 2 * rho)
+        assert new >= _zero_rate_floor(price_term, t_hat, mover, 2 * rho)
