@@ -20,8 +20,16 @@ import time
 import numpy as np
 
 from .allocation import Mode, Plan, consumption, max_threshold
-from .cyclesim import SimConfig, UserState, daily_average, simulate, variability_ratio
-from .download import optimize_download, threshold_curve
+from .cyclesim import (
+    DAYS_PER_CYCLE,
+    HOURS_PER_DAY,
+    SimConfig,
+    UserState,
+    daily_average,
+    simulate,
+    variability_ratio,
+)
+from .download import _check_grid_size, optimize_download, threshold_curve
 from .errors import ThrottlePlanError
 from .population import (
     DEFAULT_SEED,
@@ -60,6 +68,21 @@ def _resolve_capacity(args, pop: Population) -> float:
     if args.capacity_fraction is not None:
         return args.capacity_fraction * pop.total_demand
     raise ThrottlePlanError("one of --capacity / --capacity-fraction is required")
+
+
+def _curve_step(args, pop: Population, cap: float) -> float:
+    """The --curve-step to sample with, checked before anything is solved or printed."""
+    t_hat = max_threshold(pop, cap).threshold if cap < pop.total_demand else 0.0
+    step = args.curve_step
+    if step is None:
+        # 1,001 points up to t_hat; at t_hat = 0 the curve is its one T = 0 row
+        return t_hat / 1000.0 or 1.0
+    if not step > 0:
+        raise ThrottlePlanError(f"step must be positive, got {step}")
+    if not math.isfinite(step):
+        raise ThrottlePlanError(f"step must be finite, got {step}")
+    _check_grid_size(t_hat / step)
+    return step
 
 
 def _add_capacity_flags(p: argparse.ArgumentParser) -> None:
@@ -124,6 +147,7 @@ def cmd_optimize(args) -> int:
     pop, digest = _load(args.pop)
     cap = _resolve_capacity(args, pop)
     params = RegretParams(rho=args.rho, tau=args.tau)
+    step = _curve_step(args, pop, cap) if args.curve else None
     _echo("optimize", pop=args.pop, digest=digest, mode=args.mode,
           capacity=f"{cap:.6f}", rho=args.rho)
     if cap >= pop.total_demand:
@@ -150,10 +174,6 @@ def cmd_optimize(args) -> int:
         f"residual={residual:.3e}"
     )
     if args.curve:
-        step = args.curve_step
-        if step is None:
-            # 1,001 points up to t_hat; at t_hat = 0 the curve is its one T = 0 row
-            step = max_threshold(pop, cap).threshold / 1000.0 or 1.0
         if args.mode == "download":
             rows = threshold_curve(pop, cap, params, step)
         else:
@@ -248,6 +268,9 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     pop, digest = _load(args.pop)
     cap = _resolve_capacity(args, pop)
+    if cap == 0:
+        flag = "--capacity" if args.capacity is not None else "--capacity-fraction"
+        raise ThrottlePlanError(f"{flag} must be > 0 to normalize the traces, got 0")
     mode = Mode.DOWNLOAD if args.mode == "download" else Mode.STREAMING
     params = RegretParams(rho=args.rho)
     if args.plan:
@@ -271,7 +294,7 @@ def cmd_simulate(args) -> int:
           capacity=f"{cap:.6f}", days=args.days, diurnal=args.diurnal, seed=args.seed)
     throttled = simulate(pop, config)
     unthrottled = throttled.unthrottled
-    hourly_unit = cap / (30 * 24)
+    hourly_unit = cap / (DAYS_PER_CYCLE * HOURS_PER_DAY)
 
     def write_hourly(path, trace):
         with open(path, "w", newline="\n") as fh:

@@ -11,9 +11,20 @@ cycle before the recorded window so hour 0 already sees users mid-cycle.
 Per-user randomness comes from spawned seed-sequence substreams, so the
 trace is reproducible and independent of evaluation order.  Users run in
 chunks of ``CHUNK_USERS`` rows that start at each user's burn-in start, so
-cycles begin on the same columns in every row; totals still add users one at
-a time, in order.  One run yields the plan's trace and, from the same draws,
-the unthrottled baseline.
+cycles begin on the same columns in every row; each row's recorded window
+is then copied out as one slice, and totals still add users one at a time,
+in order.  One run yields the plan's trace and, from the same draws, the
+unthrottled baseline.
+
+Throttling onset as a count.  With full-rate hourly step s = fl(R / cycle
+hours), a user is throttled from the first hour of a cycle whose count c of
+earlier active hours has fl(c * s) >= T.  That test is an integer one,
+c < m for a fixed m per user: c is exact in binary64, c * s never falls as c
+grows when s >= 0, and rounding to nearest is monotone, so fl(c * s) never
+falls either and the c passing the test are exactly those from some least m
+on.  ``_onset_counts`` finds m once per run from floor(T / s), stepping it
+until fl((m - 1) * s) < T <= fl(m * s).  It caps m at the cycle length, which
+no count reaches (T = inf, or s = 0 < T); T = 0 gives m = 0.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .allocation import Mode, Plan, _download_activity
+from .allocation import Mode, Plan
 from .download import MAX_GRID_POINTS
 from .errors import ValidationError
 from .population import DEFAULT_SEED, Population, _check_seed
@@ -121,63 +132,95 @@ def _active(uniforms: np.ndarray, x: np.ndarray, hours_per_day: int, diurnal: bo
     return (days < table[:, None, :]).reshape(uniforms.shape)
 
 
-def _chunk(uniforms, burns, rates, activities, demands, config):
-    """(consumption, states, unthrottled consumption) in each row's window from burns[i]."""
-    plan, hpd = config.plan, config.hours_per_day
+def _onset_counts(step: np.ndarray, threshold: float, cycle: int) -> np.ndarray:
+    """Each user's least count m with fl(m * step) >= threshold, at most ``cycle``."""
+    with np.errstate(all="ignore"):
+        m = np.nan_to_num(np.floor(threshold / step), nan=0.0, posinf=cycle)
+        m = np.clip(m, 0, cycle).astype(np.int64)
+        while True:
+            up = (m < cycle) & (m * step < threshold)
+            down = (m > 0) & ((m - 1) * step >= threshold)
+            if not (up.any() or down.any()):
+                return m.astype(np.int32)
+            m += up.astype(np.int64) - down
+
+
+def _chunk(uniforms, burns, cols, config, work):
+    """(consumption, states, unthrottled consumption) in each row's window from burns[i].
+
+    The rows' columns come in ``cols`` (see ``simulate``); the results are views into ``work``.
+    """
+    hpd = config.hours_per_day
     cycle = config.days_per_cycle * hpd
-    k, width = uniforms.shape
-    step_full = rates[:, None] / cycle
-    active_x = _active(uniforms, activities, hpd, config.diurnal)
-    # earlier active hours in the cycle (int32: at most MAX_GRID_POINTS) never
-    # decrease, so pre-onset hours are exactly those with full-rate bytes < T
-    blocks = active_x.reshape(k, -1, cycle)
-    before = np.cumsum(blocks, axis=2, dtype=np.int32)
-    before -= blocks
-    pre = ~(before * step_full[:, :, None] >= plan.threshold).reshape(k, width)
-    slow = np.minimum(rates, plan.rate)
-    active = active_x
-    if plan.throttles and plan.mode is Mode.DOWNLOAD:
-        ys = np.array([_download_activity(d, r) for d, r in zip(demands.tolist(), slow.tolist())])
-        active = np.where(pre, active_x, _active(uniforms, ys, hpd, config.diurnal))
-    flat = np.arange(config.horizon_days * hpd) + (np.arange(k) * width + burns)[:, None]
-    active, pre, active_x = active.take(flat), pre.take(flat), active_x.take(flat)
-    consume = np.where(active, np.where(pre, step_full, slow[:, None] / cycle), 0.0)
+    k = len(burns)
+    step_full, step_slow, onset, x, y = cols
+    before, p, ax, a, consume, free = (w[:k] for w in work)
+    hours = p.shape[1]
+    active_x = _active(uniforms, x, hpd, config.diurnal)
+    # exclusive count of earlier active hours in each cycle
+    blocks, counts = active_x.reshape(k, -1, cycle), before.reshape(k, -1, cycle)
+    counts[..., 0] = 0
+    np.cumsum(blocks[..., :-1], axis=2, dtype=before.dtype, out=counts[..., 1:])
+    pre = before < onset[:, None]
+    active = active_x if y is None else _active(uniforms, y, hpd, config.diurnal)
+    for i, b in enumerate(burns):
+        w = slice(b, b + hours)
+        p[i], ax[i], a[i] = pre[i, w], active_x[i, w], active[i, w]
+    np.copyto(a, ax, where=p)
+    # every step is finite and >= 0, so these are the nested wheres' bits
+    np.copyto(consume, step_slow[:, None])
+    np.copyto(consume, step_full[:, None], where=p)
+    consume *= a
     state = None
     if config.record_states:
-        state = np.where(active, np.where(pre, UserState.UNTHROTTLED, UserState.THROTTLED), 0)
-    return consume, state, np.where(active_x, step_full, 0.0)
+        state = np.where(a, np.where(p, UserState.UNTHROTTLED, UserState.THROTTLED), 0)
+    return consume, state, np.multiply(ax, step_full[:, None], out=free)
 
 
 def simulate(pop: Population, config: SimConfig) -> CycleTrace:
     """Run the hourly three-state simulation; ``unthrottled`` reuses its draws."""
     n = len(pop)
-    hpd = config.hours_per_day
+    plan, hpd = config.plan, config.hours_per_day
     hours = config.horizon_days * hpd
     cycle = config.days_per_cycle * hpd
     total, free_total = np.zeros(hours), np.zeros(hours)
     per_user, free_per_user = np.zeros(n), np.zeros(n)
-    starts = np.zeros(n, dtype=np.int64)
     states = np.zeros((n, hours), dtype=np.int8) if config.record_states else None
+
+    step_full = pop.rates / cycle
+    slow = np.minimum(pop.rates, plan.rate)
+    ys = None
+    if plan.throttles and plan.mode is Mode.DOWNLOAD:
+        with np.errstate(all="ignore"):  # as _download_activity: 1 at a zero rate
+            ys = np.where(slow > 0, np.minimum(pop.demands / slow, 1.0), 1.0)
+    # full and slow hourly steps, onset counts, x, and y (None: throttled users keep x)
+    cols = (step_full, slow / cycle, _onset_counts(step_full, plan.threshold, cycle),
+            pop.activities, ys)
 
     seq = np.random.SeedSequence(config.seed)
     # one row per user from its burn-in start, padded to whole cycles
     buffer = np.empty((CHUNK_USERS, -(-(cycle + hours) // cycle) * cycle))
+    # separate chunk-sized buffers: no block of the run outgrows the draws
+    work = (np.empty(buffer.shape, dtype=np.int32),
+            *(np.empty((CHUNK_USERS, hours), dtype=dt) for dt in (bool, bool, bool, float, float)))
+    starts = []
     for lo in range(0, n, CHUNK_USERS):
         hi = min(lo + CHUNK_USERS, n)
-        burns = np.empty(hi - lo, dtype=np.int64)
+        burns = []
         for i, child in enumerate(seq.spawn(hi - lo)):
             rng = np.random.default_rng(child)
-            starts[lo + i] = rng.integers(0, config.days_per_cycle)
-            burns[i] = (cycle - starts[lo + i] * hpd) % cycle
-            rng.random(out=buffer[i, : burns[i] + hours])
-        cols = pop.rates[lo:hi], pop.activities[lo:hi], pop.demands[lo:hi]
-        consume, state, free = _chunk(buffer[: hi - lo], burns, *cols, config)
+            starts.append(int(rng.integers(0, config.days_per_cycle)))
+            burns.append((cycle - starts[-1] * hpd) % cycle)
+            rng.random(out=buffer[i, : burns[-1] + hours])
+        chunk_cols = tuple(None if c is None else c[lo:hi] for c in cols)
+        consume, state, free = _chunk(buffer[: hi - lo], burns, chunk_cols, config, work)
         for rows, sums, per in ((consume, total, per_user), (free, free_total, free_per_user)):
             for row in rows:  # one user at a time, in user order, as a running sum
                 sums += row
             per[lo:hi] = rows.sum(axis=1)
         if states is not None:
             states[lo:hi] = state
+    starts = np.array(starts, dtype=np.int64)
     free = CycleTrace(free_total, free_per_user, starts, hpd)
     return CycleTrace(total, per_user, starts, hpd, states, free)
 

@@ -531,6 +531,34 @@ def test_curve_step_zero_exits_2(pop4, tmp_path):
     assert err.splitlines() == ["error: step must be positive, got 0.0"]
 
 
+@pytest.mark.parametrize("step, expected", [
+    ("0", "error: step must be positive, got 0.0"),
+    ("-1", "error: step must be positive, got -1.0"),
+    ("nan", "error: step must be positive, got nan"),
+    ("inf", "error: step must be finite, got inf"),
+    ("1e-12", "error: a grid of 5.5e+11 points exceeds the cap of 1000000; use a coarser step"),
+])
+def test_refused_curve_step_is_checked_before_the_solve(pop4, tmp_path, step, expected):
+    path = write_pop(pop4, tmp_path)
+    code, out, err = run(["optimize", "--pop", path, "--capacity", 1.8,
+                          "--curve", tmp_path / "c.csv", "--curve-step", step])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [expected]
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--capacity", "--capacity-fraction"])
+def test_simulate_refuses_zero_capacity(pop4, tmp_path, flag):
+    path = write_pop(pop4, tmp_path)
+    code, out, err = run(["simulate", "--pop", path, flag, 0, "--plan", "0.3,0.1",
+                          "--out-prefix", tmp_path / "x"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {flag} must be > 0 to normalize the traces, got 0"]
+    assert not (tmp_path / "x_throttled_hourly.csv").exists()
+
+
 def test_zero_capacity_curve_is_the_single_zero_row(pop4, tmp_path):
     path = write_pop(pop4, tmp_path)
     curve = tmp_path / "curve.csv"

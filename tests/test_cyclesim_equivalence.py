@@ -11,13 +11,16 @@ run on the same seed.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from throttleplan import (
     Mode,
     Plan,
+    Population,
     SimConfig,
+    UserProfile,
     UserState,
     diurnal_activity,
     generate_codec_uniform,
@@ -25,7 +28,7 @@ from throttleplan import (
     simulate,
 )
 from throttleplan.allocation import _download_activity
-from throttleplan.cyclesim import CHUNK_USERS
+from throttleplan.cyclesim import CHUNK_USERS, _onset_counts
 
 
 def _profile(x, hods, config):
@@ -169,3 +172,54 @@ def test_attached_trace_equals_a_separate_run():
         assert got.hourly_total.tobytes() == free.hourly_total.tobytes()
         assert got.per_user_total.tobytes() == free.per_user_total.tobytes()
         assert got.per_user_state is None
+
+
+# onset edges: full-activity users reach count c in the c-th active hour, so a
+# threshold at fl(c * step) or one ulp either side moves the onset by an hour
+EDGE_RATES = (0.1, 0.3, 0.7, 1.0, 2.9)
+EDGE_POP = Population(
+    UserProfile(i, rate, activity)
+    for i, (rate, activity) in enumerate((r, x) for x in (1.0, 0.5) for r in EDGE_RATES)
+)
+
+
+def _check_plan(plan, diurnal=False):
+    config = SimConfig(plan, horizon_days=37, diurnal=diurnal, seed=11, record_states=True)
+    trace = simulate(EDGE_POP, config)
+    _assert_same(trace, _loop_simulate(EDGE_POP, config))
+    free = SimConfig(Plan.no_throttling(plan.mode), 37, diurnal, 11)
+    _assert_same(trace.unthrottled, _loop_simulate(EDGE_POP, free))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("rate", EDGE_RATES)
+def test_threshold_at_and_one_ulp_around_a_step_multiple(rate, mode):
+    cycle = 30 * 24
+    for c in (1, 2, 7, 100, 359, 719):
+        t = c * (rate / cycle)
+        for threshold in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)):
+            _check_plan(Plan(float(threshold), 0.2, mode))
+
+
+@pytest.mark.parametrize("diurnal", [False, True])
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize(
+    "plan",
+    [(0.0, 0.2), (0.0, 0.0), (0.05, 0.0), (0.05, 5.0), (0.0, 5.0), None],
+    ids=["T=0", "T=0,r=0", "r=0", "r>rates", "T=0,r>rates", "no-throttling"],
+)
+def test_edge_plans_match_the_loop(plan, mode, diurnal):
+    _check_plan(Plan.no_throttling(mode) if plan is None else Plan(*plan, mode), diurnal)
+
+
+def test_onset_counts_split_the_float_test_exactly():
+    cycle = 720
+    counts = np.arange(cycle + 1, dtype=float)
+    tiny = np.nextafter(0.0, 1.0)
+    steps = np.array([0.0, tiny, 1e-300, 0.1 / cycle, 1.0 / 3, 2.9 / cycle, 1e300, 1.7e308])
+    for threshold in (0.0, tiny, 0.1, 0.3, 1.0 / 7, 1e-310, 250.0, 1e308, np.inf):
+        m = _onset_counts(steps, threshold, cycle)
+        with np.errstate(over="ignore"):
+            below = counts[None, :] * steps[:, None] < threshold
+        want = np.where(below.all(axis=1), cycle, np.argmin(below, axis=1))
+        assert np.array_equal(m, want), threshold
