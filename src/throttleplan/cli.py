@@ -85,6 +85,22 @@ def _curve_step(args, pop: Population, cap: float) -> float:
     return step
 
 
+def _floats(flag: str, text: str) -> list[float]:
+    """The numbers of a comma-separated ``flag`` value."""
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise ThrottlePlanError(f"bad {flag} list {text!r}: {exc}") from None
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Writes ``header`` and then ``rows`` to ``path``, each line ending in a bare newline."""
+    with open(path, "w", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _add_capacity_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--capacity", type=float, help="link capacity C")
     p.add_argument(
@@ -98,9 +114,10 @@ def _parse_dist(text: str):
         fields = {}
         for part in rest.split(","):
             key, _, val = part.partition("=")
-            if not val:
-                raise ThrottlePlanError(f"bad --dist parameter {part!r}")
-            fields[key.strip()] = float(val)
+            try:
+                fields[key.strip()] = float(val)
+            except ValueError as exc:
+                raise ThrottlePlanError(f"bad --dist parameter {part!r}: {exc}") from None
         unknown = set(fields) - {"mu", "sigma", "x"}
         if unknown or "mu" not in fields or "sigma" not in fields:
             raise ThrottlePlanError(
@@ -132,14 +149,6 @@ def cmd_generate(args) -> int:
         output=args.output,
     )
     return 0
-
-
-def _write_curve(path: str, rows: np.ndarray) -> None:
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["T", "r", "regret"])
-        for t, r, reg in rows:
-            w.writerow([f"{t:.9g}", f"{r:.9g}", f"{reg:.9g}"])
 
 
 def cmd_optimize(args) -> int:
@@ -178,7 +187,8 @@ def cmd_optimize(args) -> int:
             rows = threshold_curve(pop, cap, params, step)
         else:
             rows = streaming_curve(pop, cap, codecs, params, step)
-        _write_curve(args.curve, rows)
+        _write_csv(args.curve, ["T", "r", "regret"],
+                   ([f"{t:.9g}", f"{r:.9g}", f"{reg:.9g}"] for t, r, reg in rows))
         print(f"curve={args.curve} points={len(rows)}")
     print(f"elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
@@ -188,7 +198,7 @@ def cmd_tiers(args) -> int:
     t0 = time.perf_counter()
     pop, digest = _load(args.pop)
     cap = _resolve_capacity(args, pop)
-    prices = tuple(float(p) for p in args.prices.split(","))
+    prices = tuple(_floats("--prices", args.prices))
     params = RegretParams(rho=args.rho, kappa=args.kappa)
     _echo("tiers", sub=args.game, pop=args.pop, digest=digest,
           prices=args.prices, kappa=args.kappa, capacity=f"{cap:.6f}")
@@ -203,24 +213,15 @@ def cmd_tiers(args) -> int:
         config = TierConfig(prices, args.kappa, (cap, 0.0))
         points = sweep_splits(pop, config, args.split_step, params)
         if args.out_equilibria:
-            with open(args.out_equilibria, "w", newline="\n") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["split", "class_id", "regret"])
-                for pt in points:
-                    for cid, reg in pt.equilibria:
-                        w.writerow([f"{pt.split:.6g}", cid, f"{reg:.9g}"])
+            _write_csv(args.out_equilibria, ["split", "class_id", "regret"],
+                       ([f"{pt.split:.6g}", cid, f"{reg:.9g}"]
+                        for pt in points for cid, reg in pt.equilibria))
         if args.out_summary:
-            with open(args.out_summary, "w", newline="\n") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["split", "min", "avg", "max"])
-                for pt in points:
-                    if pt.equilibria:
-                        w.writerow(
-                            [f"{pt.split:.6g}", f"{pt.min_regret:.9g}",
-                             f"{pt.avg_regret:.9g}", f"{pt.max_regret:.9g}"]
-                        )
-                    else:
-                        w.writerow([f"{pt.split:.6g}", "", "", ""])
+            def summary_row(pt):
+                stats = (pt.min_regret, pt.avg_regret, pt.max_regret)
+                return [f"{pt.split:.6g}", *(f"{v:.9g}" if pt.equilibria else "" for v in stats)]
+
+            _write_csv(args.out_summary, ["split", "min", "avg", "max"], map(summary_row, points))
         nonempty = sum(1 for pt in points if pt.equilibria)
         print(f"splits={len(points)} with_equilibria={nonempty}")
         for pt in points:
@@ -239,29 +240,28 @@ def cmd_tiers(args) -> int:
             f"regret={report.regret:.6f}"
         )
         if args.output:
-            with open(args.output, "w", newline="\n") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["id", "rate", "tier", "regret"])
-                columns = zip(pop.ids.tolist(), pop.rates.tolist(), pop.activities.tolist(),
-                              report.assignment.tier_of)
-                for uid, rate, activity, tier in columns:
-                    reg_txt = ""
-                    if report.tier_plans:
-                        plan = report.tier_plans[tier]
-                        reg = params.kappa * prices[tier] + _regret(rate, activity, plan, params)
-                        reg_txt = f"{reg:.9g}"
-                    # tiers are numbered from 1 in rendered output
-                    w.writerow([uid, repr(rate), tier + 1, reg_txt])
+            def regret_text(rate, activity, tier):
+                if not report.tier_plans:
+                    return ""
+                plan = report.tier_plans[tier]
+                return f"{params.kappa * prices[tier] + _regret(rate, activity, plan, params):.9g}"
+
+            columns = zip(pop.ids.tolist(), pop.rates.tolist(), pop.activities.tolist(),
+                          report.assignment.tier_of)
+            # tiers are numbered from 1 in rendered output
+            _write_csv(args.output, ["id", "rate", "tier", "regret"],
+                       ([uid, repr(rate), tier + 1, regret_text(rate, activity, tier)]
+                        for uid, rate, activity, tier in columns))
             print(f"assignment={args.output}")
     print(f"elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
 
 
 def _parse_plan(text: str, mode: Mode) -> Plan:
-    parts = text.split(",")
+    parts = _floats("--plan", text)
     if len(parts) != 2:
         raise ThrottlePlanError(f"--plan expects T,r got {text!r}")
-    return Plan(float(parts[0]), float(parts[1]), mode)
+    return Plan(parts[0], parts[1], mode)
 
 
 def cmd_simulate(args) -> int:
@@ -296,23 +296,15 @@ def cmd_simulate(args) -> int:
     unthrottled = throttled.unthrottled
     hourly_unit = cap / (DAYS_PER_CYCLE * HOURS_PER_DAY)
 
-    def write_hourly(path, trace):
-        with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["hour", "total", "normalized_total"])
-            for h, v in enumerate(trace.hourly_total):
-                w.writerow([h, f"{v:.9g}", f"{v / hourly_unit:.9g}"])
-
     prefix = args.out_prefix
-    write_hourly(f"{prefix}_throttled_hourly.csv", throttled)
-    write_hourly(f"{prefix}_unthrottled_hourly.csv", unthrottled)
-    with open(f"{prefix}_daily.csv", "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["day", "throttled", "unthrottled"])
-        for day, (a, b) in enumerate(
-            zip(daily_average(throttled), daily_average(unthrottled))
-        ):
-            w.writerow([day, f"{a / hourly_unit:.9g}", f"{b / hourly_unit:.9g}"])
+    for name, trace in (("throttled", throttled), ("unthrottled", unthrottled)):
+        _write_csv(f"{prefix}_{name}_hourly.csv", ["hour", "total", "normalized_total"],
+                   ([h, f"{v:.9g}", f"{v / hourly_unit:.9g}"]
+                    for h, v in enumerate(trace.hourly_total)))
+    daily = zip(daily_average(throttled), daily_average(unthrottled))
+    _write_csv(f"{prefix}_daily.csv", ["day", "throttled", "unthrottled"],
+               ([day, f"{a / hourly_unit:.9g}", f"{b / hourly_unit:.9g}"]
+                for day, (a, b) in enumerate(daily)))
     if args.states:
         with open(f"{prefix}_states.csv", "w", newline="\n") as fh:
             w = csv.writer(fh, lineterminator="\n")

@@ -52,14 +52,15 @@ if it strictly beats the best option so far, and a skipped one provably
 cannot, so every move, plan and report is the same as with every deviation
 solved.
 
-The Stackelberg deviations that are solved are read off a per-round table
-(:class:`_JoinPlans`): tier b's plan for its members joined by user u.  Such
-a plan depends only on b's members and share, and shares are fixed for a
-round, so b's table is cleared only when a move changes b's members, that
-is for both the source and the target tier of every move.  A miss solves u
-together with the next users whose floor for b lies below their current
-regret, in one row batch; every row is the single solve's plan bit for bit,
-so the table changes no move.
+The Stackelberg walk keeps one record per tier per round (:class:`_Tier`):
+its members, plan, join floors and deviation table, tier b's plan for its
+members joined by user u.  Such a plan, and the floors, depend only on b's
+members and share, and shares are fixed for a round, so they hold until b's
+members change; a move changes them only through the source's
+:meth:`_Tier.leave` and the target's :meth:`_Tier.enter`, which rebuild the
+floors and empty the table.  A miss solves u together with the next users
+whose floor for b lies below their current regret, in one row batch; every
+row is the single solve's plan bit for bit, so the table changes no move.
 """
 
 from __future__ import annotations
@@ -183,8 +184,9 @@ class SweepPoint:
 
 
 def _game_params(config: TierConfig, params: RegretParams | None) -> RegretParams:
-    # the config's kappa is authoritative inside tier games
+    # the config's kappa is authoritative inside tier games, which plan downloads
     base = params if params is not None else RegretParams()
+    _check_params(base)
     return replace(base, kappa=config.kappa)
 
 
@@ -200,6 +202,7 @@ def optimize_tier(
     returns the no-throttling convention T = r = share, so reported tier
     plans stay finite.
     """
+    _check_params(params)
     if not 0 <= share < math.inf:
         raise ValidationError(f"share must be >= 0 and finite, got {share}")
     members = tuple(sorted(int(i) for i in members))
@@ -227,7 +230,7 @@ def _download_plan(demands: np.ndarray, members: tuple[int, ...], share: float, 
     Empty tiers get the zero plan; a share covering the members' demand gets
     the no-throttling convention T = r = share.  The two-tier enumeration
     and the Stackelberg deviations read the same plans, bit for bit, off
-    their row-batched tables (:class:`_SubsetPlans`, :class:`_JoinPlans`).
+    their row-batched tables (:class:`_SubsetPlans`, :meth:`_Tier.join`).
     """
     if not members:
         return Plan(0.0, 0.0, Mode.DOWNLOAD)
@@ -638,80 +641,92 @@ def solve_multi_tier(
     return out
 
 
-class _JoinPlans:
-    """One Stackelberg round's deviation table: tier b's plan for its members joined by u.
+class _Tier:
+    """One tier of a Stackelberg round: members, plan, join floors and deviation table.
 
-    ``plans[b]`` maps a user u outside tier b to :func:`_download_plan` of
-    b's members and u at b's share, bit for bit.  Such a plan depends only
-    on b's members and share, and shares are fixed for the round, so a
-    tier's table holds until a move changes its members; :meth:`clear`
-    empties it then.  A miss plans the asked user and the next users the
-    walk may ask for, in one :func:`download._optimize_rows` batch of
-    ``_JOIN_BATCH`` rows, doubled on each further miss up to
-    ``_JOIN_BATCH_CAP``.
+    ``members`` lists the tier's users ascending, ``floor`` every user's
+    :func:`_join_floor` for the tier, and ``joins`` maps a user u outside it
+    to :func:`_download_plan` of its members and u at its share, bit for
+    bit.  The share is fixed for the round, so floors and table hold until
+    :meth:`leave` or :meth:`enter` changes the members; each sets the plan,
+    rebuilds the floors, empties the table and resets its batch size.
     """
 
-    def __init__(self, demands: np.ndarray, shares: Sequence[float], rho: float):
-        self.demands, self.shares, self.rho = demands, shares, rho
-        self.plans: list[dict[int, Plan]] = [{} for _ in shares]
-        self.batch = [_JOIN_BATCH] * len(shares)
+    def __init__(self, demands: np.ndarray, members: Sequence[int], share: float, plan: Plan,
+                 price_term: float, params: RegretParams):
+        self.demands, self.share, self.price_term, self.params = demands, share, price_term, params
+        self.members = list(members)
+        self._changed(plan)
 
-    def clear(self, tier: int) -> None:
-        self.plans[tier].clear()
-        self.batch[tier] = _JOIN_BATCH
+    def _changed(self, plan: Plan) -> None:
+        self.plan = plan
+        t_zero, t_cross = _join_levels(self.demands, self.members, self.share)
+        exponent = self.params.rho + self.params.tau
+        self.floor = _join_floor(self.price_term, t_zero, self.demands, exponent, t_cross)
+        self.joins: dict[int, Plan] = {}
+        self.batch = _JOIN_BATCH
 
-    def plan(
-        self, tier: int, user: int, members: list[int], later: Callable[[], np.ndarray]
-    ) -> Plan:
-        """The tier's plan with ``user`` joining its ascending ``members``.
+    def leave(self, user: int) -> None:
+        """Drops ``user`` and re-plans the tier with one solve."""
+        self.members.remove(user)
+        members = tuple(self.members)
+        self._changed(_download_plan(self.demands, members, self.share, self.params.rho))
+
+    def enter(self, user: int, plan: Plan) -> None:
+        """Adds ``user`` with ``plan``, the tier's plan with it as :meth:`join` gave it."""
+        bisect.insort(self.members, user)
+        self._changed(plan)
+
+    def join(self, user: int, later: Callable[[], np.ndarray]) -> Plan:
+        """The tier's plan with ``user`` joining its members.
 
         ``later()`` lists, in walk order, the users after ``user`` likely to
-        ask for the same tier; a miss plans the first of them not yet planned.
+        ask for the same tier.  A miss plans ``user`` and the first of them
+        not yet planned in one :func:`download._optimize_rows` batch of
+        ``batch`` rows, then doubles ``batch`` up to ``_JOIN_BATCH_CAP``.
         """
-        plans = self.plans[tier]
-        if user not in plans:
+        if user not in self.joins:
             users = [user]
             for v in later().tolist():
-                if len(users) == self.batch[tier]:
+                if len(users) == self.batch:
                     break
-                if v not in plans:
+                if v not in self.joins:
                     users.append(v)
-            self._solve(tier, members, np.array(users))
-            self.batch[tier] = min(2 * self.batch[tier], _JOIN_BATCH_CAP)
-        return plans[user]
+            self._solve(np.array(users))
+            self.batch = min(2 * self.batch, _JOIN_BATCH_CAP)
+        return self.joins[user]
 
-    def _solve(self, tier: int, members: list[int], users: np.ndarray) -> None:
+    def _solve(self, users: np.ndarray) -> None:
         """Plans each of ``users`` joining the tier, one row of member-order demands each."""
+        members = self.members
         s, m = len(members), users.size
         pos = np.searchsorted(members, users)
         cols = np.arange(s + 1)
         src = np.where(cols < pos[:, None], cols, cols - 1)
         src[np.arange(m), pos] = s + np.arange(m)
         pool = np.concatenate((self.demands[members], self.demands[users]))
-        share = self.shares[tier]
-        t, r, _ = _optimize_rows(pool[src], np.full(m, share), self.rho)
-        t, r = _covered_at_share(t, r, share)
-        table = self.plans[tier]
+        t, r, _ = _optimize_rows(pool[src], np.full(m, self.share), self.params.rho)
+        t, r = _covered_at_share(t, r, self.share)
         for v, tv, rv in zip(users.tolist(), t.tolist(), r.tolist()):
-            table[v] = Plan(tv, rv, Mode.DOWNLOAD)
+            self.joins[v] = Plan(tv, rv, Mode.DOWNLOAD)
 
 
 def _later_joiners(
-    demands: np.ndarray, tiers: np.ndarray, plans: Sequence[Plan], price_terms: np.ndarray,
-    floor: np.ndarray, tier: int, user: int, params: RegretParams,
+    tiers: Sequence[_Tier], tier_of: np.ndarray, target: int, user: int
 ) -> np.ndarray:
-    """Users after ``user``, outside ``tier``, whose join ``floor`` lies below their current regret.
+    """Users after ``user``, outside ``target``, whose floor for it is below their current regret.
 
-    These are the deviations to the tier the Stackelberg walk may still
-    solve this round, unless a move changes the tier first.
+    These are the deviations to the target tier the Stackelberg walk may
+    still solve this round, unless a move changes the tier first.
     """
     later = slice(user + 1, None)
-    own = tiers[later]
-    d = demands[later]
-    t = np.array([p.threshold for p in plans])[own]
-    r = np.array([p.rate for p in plans])[own]
-    cur = price_terms[own] + _regrets(d, d, t, r, params)
-    return user + 1 + np.flatnonzero((own != tier) & (floor[later] < cur))
+    own = tier_of[later]
+    tier = tiers[target]
+    d = tier.demands[later]
+    t = np.array([other.plan.threshold for other in tiers])[own]
+    r = np.array([other.plan.rate for other in tiers])[own]
+    cur = np.array([other.price_term for other in tiers])[own] + _regrets(d, d, t, r, tier.params)
+    return user + 1 + np.flatnonzero((own != target) & (tier.floor[later] < cur))
 
 
 def stackelberg_iterate(
@@ -737,19 +752,18 @@ def stackelberg_iterate(
     zero-rate level and r = T crossing with one more member
     (:func:`_join_levels`), is below the mover's best option so far;
     otherwise its plan cannot beat that option and no solve could move the
-    user (see the module docstring).  Each tier's two levels, and every
-    user's floor from them, are computed at the start of a round and again
-    whenever a move changes the tier.
+    user (see the module docstring).
 
-    The deviation plans come from a :class:`_JoinPlans` table per round.
-    A move clears the tables of both tiers it changes, the source and the
-    target, since their members change and every plan read off them would
-    be stale; the other tiers' tables stay valid.  A miss plans the asked
-    user and the next users after it who may ask the same tier, in one
-    :func:`download._optimize_rows` batch of 4 rows, doubling on each
-    further miss up to 64.  Each row is :func:`_download_plan`'s plan bit for
-    bit, so moves, progress lines and reports are those of one solve per
-    deviation.
+    Each round keeps one :class:`_Tier` record per tier: its members, plan,
+    floors and deviation table.  A move changes tiers only by the source's
+    :meth:`_Tier.leave` and the target's :meth:`_Tier.enter`; each re-plans
+    or sets the plan, rebuilds the tier's floors and empties its table,
+    whose plans would be stale, and the other tiers' records stay valid.
+    A miss plans the asked user and the next users after it who may ask the
+    same tier, in one :func:`download._optimize_rows` batch of 4 rows,
+    doubling on each further miss up to 64.  Each row is
+    :func:`_download_plan`'s plan bit for bit, so moves, progress lines and
+    reports are those of one solve per deviation.
 
     ``progress``, if given, is called after each round with
     (iteration, thresholds, moves).
@@ -778,65 +792,45 @@ def stackelberg_iterate(
         return EquilibriumReport(False, 0, assignment, (), math.nan, ())
 
     demands = pop.demands.tolist()
-    price_terms = np.array([params.kappa * p for p in prices])
-    exponent = params.rho + params.tau
     seen = {assignment.tier_of}
     prev_ts: np.ndarray | None = None
     converged = False
     iterations = 0
-    plans: tuple[Plan, ...] = ()
-    shares: tuple[float, ...] = ()
     members = assignment.members()
-
-    def floors_of(j: int) -> np.ndarray:
-        """Every user's :func:`_join_floor` for tier j as it stands."""
-        t_zero, t_cross = _join_levels(pop.demands, member_lists[j], shares[j])
-        return _join_floor(price_terms[j], t_zero, pop.demands, exponent, t_cross)
-
     for _ in range(max_iters):
         iterations += 1
         ts = np.array(solve_multi_tier(pop, assignment, capacity, params), dtype=float)
-        tier_demands = [pop.demands[list(mber)] for mber in members]
         shares = tuple(
-            _tier_consumption(d, float(t)) for d, t in zip(tier_demands, ts)
+            _tier_consumption(pop.demands[list(m)], float(t)) for m, t in zip(members, ts)
         )
         plans = tuple(Plan(float(t), float(t), Mode.DOWNLOAD) for t in ts)
-        # the source tiers' re-plans and the final regret, one solve each
-        plan = _share_plans(pop.demands, shares, params.rho)
-        joins = _JoinPlans(pop.demands, shares, params.rho)
-
+        tiers = [
+            _Tier(pop.demands, m, share, plan, params.kappa * price, params)
+            for m, share, plan, price in zip(members, shares, plans, prices)
+        ]
+        tier_of = np.array(assignment.tier_of)
         moves = 0
-        tiers = np.array(assignment.tier_of)
-        member_lists = [list(mm) for mm in members]
-        cur_plans = list(plans)
-        floors = [floors_of(j) for j in range(k)]
         for u in range(n):
-            a = tiers[u]
+            a = tier_of[u]
             d_u = demands[u]
-            throttle = _regret(d_u, 1.0, cur_plans[a], params)
+            throttle = _regret(d_u, 1.0, tiers[a].plan, params)
             if a == 0 and throttle == 0.0:
                 continue  # cheapest tier, unthrottled: nothing can beat it
-            best_dev, best_b, best_plan = price_terms[a] + throttle, None, None
-            for b in range(k):
-                if b == a or floors[b][u] >= best_dev:
+            best_dev, best_b, best_plan = tiers[a].price_term + throttle, None, None
+            for b, target in enumerate(tiers):
+                if b == a or target.floor[u] >= best_dev:
                     continue
-                plan_b = joins.plan(b, u, member_lists[b], lambda: _later_joiners(
-                    pop.demands, tiers, cur_plans, price_terms, floors[b], b, u, params))
-                dev = price_terms[b] + _regret(d_u, 1.0, plan_b, params)
+                plan_b = target.join(u, lambda: _later_joiners(tiers, tier_of, b, u))
+                dev = target.price_term + _regret(d_u, 1.0, plan_b, params)
                 if dev < best_dev:
                     best_dev, best_b, best_plan = dev, b, plan_b
             if best_b is not None:
-                member_lists[a].remove(u)
-                bisect.insort(member_lists[best_b], u)
-                cur_plans[a] = plan(a, tuple(member_lists[a]))
-                cur_plans[best_b] = best_plan
-                for j in (a, best_b):
-                    floors[j] = floors_of(j)
-                    joins.clear(j)
-                tiers[u] = best_b
+                tiers[a].leave(u)
+                tiers[best_b].enter(u, best_plan)
+                tier_of[u] = best_b
                 moves += 1
-        members = [tuple(mm) for mm in member_lists]
-        assignment = Assignment(tuple(tiers.tolist()), k)
+        members = [tuple(tier.members) for tier in tiers]
+        assignment = Assignment(tuple(tier_of.tolist()), k)
         if progress is not None:
             progress(iterations, tuple(float(t) for t in ts), moves)
 
@@ -849,5 +843,6 @@ def stackelberg_iterate(
                 break  # deterministic dynamics revisiting a state: a cycle
             seen.add(assignment.tier_of)
 
+    plan = _share_plans(pop.demands, shares, params.rho)
     regret = _total_regret(pop, plan, members, prices, params)
     return EquilibriumReport(converged, iterations, assignment, plans, regret, shares)

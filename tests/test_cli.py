@@ -14,6 +14,7 @@ from throttleplan import (
     Plan,
     Population,
     SimConfig,
+    SweepPoint,
     UserProfile,
     UserState,
     generate_lognormal,
@@ -108,6 +109,21 @@ def test_optimize_rejects_small_rho(pop4, tmp_path):
     code, _, err = run(["optimize", "--pop", path, "--capacity", 1.8, "--rho", 1.5])
     assert code == 2
     assert err.startswith("error: download optimization requires rho >= 2")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tiers", "sweep", "--prices", "0.5,1.0", "--split-step", 0.5],
+    ["tiers", "stackelberg", "--prices", "0.5,1.0"],
+    ["tiers", "stackelberg", "--prices", "1.0"],
+])
+def test_tiers_refuse_small_rho(pop4, tmp_path, argv):
+    path = write_pop(pop4, tmp_path)
+    code, _, err = run(argv + ["--pop", path, "--capacity", 1.8, "--rho", 1.5])
+    assert code == 2
+    assert err.splitlines() == [
+        "error: download optimization requires rho >= 2; smaller exponents break the "
+        "per-interval convexity the closed form relies on"
+    ]
 
 
 def test_optimize_requires_capacity(pop4, tmp_path):
@@ -250,6 +266,19 @@ def test_tiers_sweep(pop4, tmp_path):
     sum_rows = summary.read_text().splitlines()
     assert sum_rows[0] == "split,min,avg,max"
     assert len(sum_rows) == 102
+
+
+def test_tiers_sweep_summary_leaves_a_split_without_equilibria_blank(pop4, tmp_path, monkeypatch):
+    points = [SweepPoint(0.0, (), None, None, None),
+              SweepPoint(0.5, (("01", 0.25), ("10", 0.75)), 0.25, 0.5, 0.75)]
+    monkeypatch.setattr("throttleplan.cli.sweep_splits", lambda *args: points)
+    eq, summary = tmp_path / "eq.csv", tmp_path / "sum.csv"
+    code, out, _ = run(["tiers", "sweep", "--pop", write_pop(pop4, tmp_path), "--capacity", 1.8,
+                        "--prices", "0.5,1.0", "--out-equilibria", eq, "--out-summary", summary])
+    assert code == 0
+    assert "splits=2 with_equilibria=1" in out
+    assert eq.read_text() == "split,class_id,regret\n0.5,01,0.25\n0.5,10,0.75\n"
+    assert summary.read_text() == "split,min,avg,max\n0,,,\n0.5,0.25,0.5,0.75\n"
 
 
 def test_tiers_single_price_is_plain_optimum(pop4, tmp_path):
@@ -431,8 +460,28 @@ def _csv_with_rate(tmp_path, rate):
     return path
 
 
-# one command per non-finite input: (argv builder, expected error line)
+# one command per non-finite or malformed input: (argv builder, expected error line)
 NON_FINITE_INPUTS = {
+    "tiers-prices-letter": (
+        lambda pop, tmp: ["tiers", "stackelberg", "--pop", pop, "--capacity", 1.8,
+                          "--prices", "a,1"],
+        "error: bad --prices list 'a,1': could not convert string to float: 'a'",
+    ),
+    "tiers-prices-trailing-comma": (
+        lambda pop, tmp: ["tiers", "sweep", "--pop", pop, "--capacity", 1.8,
+                          "--prices", "0.5,"],
+        "error: bad --prices list '0.5,': could not convert string to float: ''",
+    ),
+    "simulate-plan-letter": (
+        lambda pop, tmp: ["simulate", "--pop", pop, "--capacity", 1.8, "--plan", "x,1",
+                          "--out-prefix", tmp / "x"],
+        "error: bad --plan list 'x,1': could not convert string to float: 'x'",
+    ),
+    "generate-mu-letter": (
+        lambda pop, tmp: ["generate", "--dist", "lognormal:mu=x,sigma=1", "--n", 3,
+                          "-o", tmp / "g.csv"],
+        "error: bad --dist parameter 'mu=x': could not convert string to float: 'x'",
+    ),
     "simulate-plan-nan": (
         lambda pop, tmp: ["simulate", "--pop", pop, "--capacity", 1.8, "--plan", "nan,0.1",
                           "--out-prefix", tmp / "x"],

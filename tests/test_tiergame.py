@@ -91,8 +91,49 @@ def test_tier_covered_up_to_rounding_is_planned_at_its_share():
     assert optimize_tier(pop, range(8), 4.082, P2) == want
     table = tiergame._SubsetPlans(pop.demands, (4.082, 1.0), P2.rho)
     assert table(0, tuple(range(8))) == want
-    joins = tiergame._JoinPlans(pop.demands, (1.0, 4.082), P2.rho)
-    assert joins.plan(1, 3, [0, 1, 2, 4, 5, 6, 7], lambda: np.array([], dtype=int)) == want
+    others = [0, 1, 2, 4, 5, 6, 7]
+    plan = tiergame._download_plan(pop.demands, tuple(others), 4.082, P2.rho)
+    tier = tiergame._Tier(pop.demands, others, 4.082, plan, 0.0, P2)
+    assert tier.join(3, lambda: np.array([], dtype=int)) == want
+
+
+def _plan_bytes(plan):
+    return np.array([plan.threshold, plan.rate]).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_move_leaves_both_tiers_fresh(seed):
+    """After leave and enter, both tiers' floors, plans and tables are those of their new members."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 40))
+    pop = generate_lognormal(n, 0.0, 0.5, seed=seed)
+    params = RegretParams(rho=float(rng.choice([2.0, 3.0])), kappa=0.05)
+    split = rng.permutation(n)
+    cut = int(rng.integers(2, n - 1))
+    groups = [sorted(split[:cut].tolist()), sorted(split[cut:].tolist())]
+    tiers = []
+    for members, price in zip(groups, (0.5, 1.0)):
+        share = float(rng.uniform(0.3, 1.1)) * float(pop.demands[members].sum())
+        plan = tiergame._download_plan(pop.demands, tuple(members), share, params.rho)
+        tiers.append(tiergame._Tier(pop.demands, members, share, plan, params.kappa * price, params))
+    a = int(rng.integers(2))
+    source, target = tiers[a], tiers[1 - a]
+    user = int(rng.choice(source.members))
+    # fill both tables before the move; each tier's outsiders are the other's members
+    source.join(target.members[0], lambda: np.array(target.members[1:]))
+    joined = target.join(user, lambda: np.setdiff1d(source.members, [user]))
+    assert source.joins and target.joins and target.batch > tiergame._JOIN_BATCH
+    source.leave(user)
+    target.enter(user, joined)
+    assert user not in source.members and user in target.members
+    for tier in tiers:
+        assert tier.members == sorted(tier.members)
+        assert tier.joins == {} and tier.batch == tiergame._JOIN_BATCH
+        t_zero, t_cross = tiergame._join_levels(pop.demands, tier.members, tier.share)
+        floor = tiergame._join_floor(tier.price_term, t_zero, pop.demands, 2 * params.rho, t_cross)
+        assert tier.floor.tobytes() == floor.tobytes()
+        fresh = tiergame._download_plan(pop.demands, tuple(tier.members), tier.share, params.rho)
+        assert _plan_bytes(tier.plan) == _plan_bytes(fresh)
 
 
 def test_deviation_regret_worked_instance(pop4, config):
@@ -171,6 +212,28 @@ def test_sweep_splits_validation(pop4, config):
         sweep_splits(pop4, config, step=0.0)
     with pytest.raises(ValidationError):
         sweep_splits(pop4, config, step=1.0)
+
+
+UNSUPPORTED_EXPONENTS = {
+    "rho-1.5": (RegretParams(rho=1.5), "download optimization requires rho >= 2"),
+    "tau-3": (RegretParams(rho=2, tau=3), "requires equal rate/time exponents"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSUPPORTED_EXPONENTS))
+def test_two_tier_game_refuses_exponents_the_download_scan_does_not_support(pop4, config, case):
+    params, message = UNSUPPORTED_EXPONENTS[case]
+    nash = Assignment.from_class_id("0111", 2)
+    calls = [
+        lambda: enumerate_equilibria(pop4, config, 0.5, params),
+        lambda: sweep_splits(pop4, config, 0.5, params),
+        lambda: check_equilibrium(pop4, config, nash, params),
+        lambda: deviation_regret(pop4, config, nash, 0, 1, params),
+        lambda: optimize_tier(pop4, (1, 2, 3), 1.5, params),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=message):
+            call()
 
 
 def test_solve_multi_tier_worked_instance(pop4):
