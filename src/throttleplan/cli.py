@@ -1,10 +1,10 @@
 """Command line front end: generate, optimize, tiers, simulate.
 
-Summaries go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-2 usage or validation problem, 1 internal error.  A population or output
-file that cannot be opened is a usage problem: one line
-``error: <path>: <reason>`` and status 2.  Randomized commands
-default to seed 20260819 when --seed is omitted; nothing reads the clock.
+Summaries go to stdout, diagnostics to stderr.  Exit codes: 0 success, 2
+usage or validation problem (refused before anything is printed; a file that
+cannot be opened gives one line ``error: <path>: <reason>``), 1 internal
+error or stdout closed by its reader (as after SIGPIPE, with stderr empty).
+Randomized commands default to seed 20260819 when --seed is omitted; nothing reads the clock.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import sys
 import time
 
@@ -29,7 +30,7 @@ from .cyclesim import (
     simulate,
     variability_ratio,
 )
-from .download import _check_grid_size, optimize_download, threshold_curve
+from .download import _check_params, _threshold_grid, optimize_download, threshold_curve
 from .errors import ThrottlePlanError
 from .population import (
     DEFAULT_SEED,
@@ -41,7 +42,7 @@ from .population import (
 )
 from .regret import RegretParams, _regret
 from .streaming import CodecSet, optimize_streaming, streaming_curve
-from .tiergame import TierConfig, stackelberg_iterate, sweep_splits
+from .tiergame import TierConfig, _stackelberg_params, stackelberg_iterate, sweep_splits
 
 
 def _load(path: str) -> tuple[Population, str]:
@@ -54,6 +55,13 @@ def _load(path: str) -> tuple[Population, str]:
 def _echo(cmd: str, **fields) -> None:
     parts = [f"command={cmd}"] + [f"{k}={v}" for k, v in fields.items()]
     print(" ".join(parts))
+
+
+def _elapsed(t0: float) -> int:
+    """Ends a command: its stdout is flushed first, so a closed pipe leaves stderr empty."""
+    sys.stdout.flush()
+    print(f"elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    return 0
 
 
 def _resolve_capacity(args, pop: Population) -> float:
@@ -77,11 +85,7 @@ def _curve_step(args, pop: Population, cap: float) -> float:
     if step is None:
         # 1,001 points up to t_hat; at t_hat = 0 the curve is its one T = 0 row
         return t_hat / 1000.0 or 1.0
-    if not step > 0:
-        raise ThrottlePlanError(f"step must be positive, got {step}")
-    if not math.isfinite(step):
-        raise ThrottlePlanError(f"step must be finite, got {step}")
-    _check_grid_size(t_hat / step)
+    _threshold_grid(t_hat, step)
     return step
 
 
@@ -156,6 +160,11 @@ def cmd_optimize(args) -> int:
     pop, digest = _load(args.pop)
     cap = _resolve_capacity(args, pop)
     params = RegretParams(rho=args.rho, tau=args.tau)
+    if args.mode == "download":
+        _check_params(params)
+    elif not args.codecs:
+        raise ThrottlePlanError("stream mode requires --codecs")
+    codecs = CodecSet.parse(args.codecs) if args.mode == "stream" else None
     step = _curve_step(args, pop, cap) if args.curve else None
     _echo("optimize", pop=args.pop, digest=digest, mode=args.mode,
           capacity=f"{cap:.6f}", rho=args.rho)
@@ -167,9 +176,6 @@ def cmd_optimize(args) -> int:
         sol = optimize_download(pop, cap, params)
         plan, extras = sol.plan, ()
     else:
-        codecs = CodecSet.parse(args.codecs) if args.codecs else None
-        if codecs is None:
-            raise ThrottlePlanError("stream mode requires --codecs")
         ssol = optimize_streaming(pop, cap, codecs, params)
         plan, extras = ssol.plan, ssol.candidates
         sol = ssol
@@ -190,8 +196,7 @@ def cmd_optimize(args) -> int:
         _write_csv(args.curve, ["T", "r", "regret"],
                    ([f"{t:.9g}", f"{r:.9g}", f"{reg:.9g}"] for t, r, reg in rows))
         print(f"curve={args.curve} points={len(rows)}")
-    print(f"elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    return 0
+    return _elapsed(t0)
 
 
 def cmd_tiers(args) -> int:
@@ -200,6 +205,13 @@ def cmd_tiers(args) -> int:
     cap = _resolve_capacity(args, pop)
     prices = tuple(_floats("--prices", args.prices))
     params = RegretParams(rho=args.rho, kappa=args.kappa)
+    _check_params(params)
+    if len(prices) > 1 and args.game == "sweep":
+        # a sweep prints nothing while it runs: it runs, and checks its input, before the echo
+        config = TierConfig(prices, args.kappa, (cap,) + (0.0,) * (len(prices) - 1))
+        points = sweep_splits(pop, config, args.split_step, params)
+    elif len(prices) > 1:
+        _stackelberg_params(prices, args.kappa, args.max_iters, args.rho)
     _echo("tiers", sub=args.game, pop=args.pop, digest=digest,
           prices=args.prices, kappa=args.kappa, capacity=f"{cap:.6f}")
     if len(prices) == 1:
@@ -210,8 +222,6 @@ def cmd_tiers(args) -> int:
         )
         return 0
     if args.game == "sweep":
-        config = TierConfig(prices, args.kappa, (cap, 0.0))
-        points = sweep_splits(pop, config, args.split_step, params)
         if args.out_equilibria:
             _write_csv(args.out_equilibria, ["split", "class_id", "regret"],
                        ([f"{pt.split:.6g}", cid, f"{reg:.9g}"]
@@ -253,8 +263,7 @@ def cmd_tiers(args) -> int:
                        ([uid, repr(rate), tier + 1, regret_text(rate, activity, tier)]
                         for uid, rate, activity, tier in columns))
             print(f"assignment={args.output}")
-    print(f"elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    return 0
+    return _elapsed(t0)
 
 
 def _parse_plan(text: str, mode: Mode) -> Plan:
@@ -327,8 +336,7 @@ def cmd_simulate(args) -> int:
     else:
         print("plan: no throttling")
     print(f"variability_ratio={ratio:.6f} excluded_hours={zero_hours}")
-    print(f"elapsed={time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    return 0
+    return _elapsed(t0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,7 +403,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout to devnull, so the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ThrottlePlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

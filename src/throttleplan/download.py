@@ -104,6 +104,16 @@ def _check_grid_size(points: float) -> None:
         )
 
 
+def _threshold_grid(bound: float, step: float) -> np.ndarray:
+    """{0, step, 2*step, ...} below ``bound``, then ``bound``; a bad or too fine step is refused."""
+    if not step > 0:
+        raise ValidationError(f"step must be positive, got {step}")
+    if not math.isfinite(step):
+        raise ValidationError(f"step must be finite, got {step}")
+    _check_grid_size(bound / step)
+    return np.append(np.arange(0.0, bound, step), bound)
+
+
 def _check_params(params: RegretParams) -> None:
     if params.tau != params.rho:
         raise ValidationError(
@@ -631,14 +641,11 @@ def threshold_curve(
     """
     _check_params(params)
     _check_capacity(capacity)
-    if not step > 0:
-        raise ValidationError(f"step must be positive, got {step}")
     if capacity >= pop.total_demand:
         raise ValidationError("curve is undefined when capacity covers demand")
     lad = _RowLadders.build(pop.demands[None], np.array([float(capacity)]))
     ds, prefix, suf_inv, t_hat = lad.ds[0], lad.prefix[0], lad.suf_inv[0], float(lad.t_hat[0])
-    _check_grid_size(t_hat / step)
-    grid = np.append(np.arange(0.0, t_hat, step), t_hat)
+    grid = _threshold_grid(t_hat, step)
     k = _tight_suffixes(ds, prefix, suf_inv, capacity, grid)
     r = _tight_rates(ds.size - k, capacity - prefix[k], suf_inv[k], grid)
     reg = _dense_regrets(lad.ds, np.zeros(k.size, dtype=np.intp), k, grid, r, params.rho)

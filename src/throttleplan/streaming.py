@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .allocation import Mode, Plan, _check_capacity, threshold_for_rate
-from .download import _check_grid_size
+from .download import _threshold_grid
 from .errors import InfeasibleError, ValidationError
 from .population import Population
 from .regret import RegretParams, aggregate_regret
@@ -120,16 +120,11 @@ def streaming_curve(
     are skipped.  Useful for plotting and as a brute-force reference.
     """
     _check_capacity(capacity)
-    if not step > 0:
-        raise ValidationError(f"step must be positive, got {step}")
     if capacity >= pop.total_demand:
         raise ValidationError("curve is undefined when capacity covers demand")
     from .allocation import _consumption_arrays, max_threshold
 
-    bound = max_threshold(pop, capacity, Mode.STREAMING)
-    _check_grid_size(bound.threshold / step)
-    grid = np.arange(0.0, bound.threshold, step)
-    grid = np.append(grid, bound.threshold)
+    grid = _threshold_grid(max_threshold(pop, capacity, Mode.STREAMING).threshold, step)
     d, R, x = pop.demands, pop.rates, pop.activities
     rows = []
     for t in grid:

@@ -8,7 +8,7 @@ low-demand users and the game resembles a leader/follower pricing game:
 * two tiers: exact Nash enumeration over all assignments plus a sweep over
   capacity splits.  Each split first plans every member subset at both
   tiers' shares, one row batch per subset size, into a table keyed by the
-  members' bitmask; the enumeration then only reads plans;
+  members' bitmask; the Nash check reads them in array passes (:func:`_nash_masks`);
 * many tiers: the operator's joint threshold problem (capacity used exactly,
   r_j = T_j) solved with SLSQP, alternated with sequential best responses
   by the users.  There is no fallback solver: an SLSQP failure raises
@@ -88,9 +88,8 @@ _SUBSET_BLOCK = 1 << 14
 #: is cleared; each further miss doubles the batch, up to the cap.
 _JOIN_BATCH = 4
 _JOIN_BATCH_CAP = 64
-
-# (tier index, its ascending member indices) -> the tier's download plan at its share
-PlanFn = Callable[[int, tuple[int, ...]], Plan]
+#: Relative band where array and scalar regrets may order differently (:func:`_nash_masks`).
+_NASH_TIE = 32 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -239,22 +238,17 @@ def _download_plan(demands: np.ndarray, members: tuple[int, ...], share: float, 
     return Plan(float(t), float(r), Mode.DOWNLOAD)
 
 
-def _share_plans(demands: np.ndarray, shares: Sequence[float], rho: float) -> PlanFn:
-    """The :data:`PlanFn` of tiers at these shares: each call solves its plan."""
-    return lambda tier, members: _download_plan(demands, members, shares[tier], rho)
-
-
 def _move_regret(
-    demand: float, plan: PlanFn, target: Sequence[int], user: int,
-    tier: int, price: float, params: RegretParams,
-) -> tuple[float, Plan]:
-    """(regret, re-planned target) of ``user``, of this demand, joining ``tier``.
+    demands: np.ndarray, target: Sequence[int], user: int, share: float, price: float,
+    params: RegretParams,
+) -> float:
+    """Regret of ``user`` joining the tier of members ``target``, ``share`` and ``price``.
 
-    ``target`` holds the tier's members before the join; the tier keeps its
-    share.  A download user's regret reads only the demand: it passes as a
-    rate at activity 1."""
-    target_plan = plan(tier, tuple(sorted((*target, user))))
-    return params.kappa * price + _regret(demand, 1.0, target_plan, params), target_plan
+    The tier re-plans with ``user`` at its unchanged share.  A download
+    user's regret reads only the demand: it passes as a rate at activity 1.
+    """
+    plan = _download_plan(demands, tuple(sorted((*target, user))), share, params.rho)
+    return params.kappa * price + _regret(float(demands[user]), 1.0, plan, params)
 
 
 def _join_levels(demands: np.ndarray, members: Sequence[int], share: float) -> tuple[float, float]:
@@ -302,15 +296,6 @@ def _join_floor(price_term: float, t_zero: float, demand, exponent: float, t_cro
     return price_term + gap ** (0.5 * exponent) * (1.0 - 1e-9)
 
 
-def _total_regret(
-    pop: Population, plan: PlanFn, members: list[tuple[int, ...]],
-    prices: Sequence[float], params: RegretParams,
-) -> float:
-    """Regret over all tiers, each planned at its share, price terms included."""
-    plans = [plan(j, m) for j, m in enumerate(members)]
-    return tiered_aggregate_regret(pop, members, plans, list(prices), params)
-
-
 def deviation_regret(
     pop: Population,
     config: TierConfig,
@@ -331,48 +316,10 @@ def deviation_regret(
         raise ValidationError("target tier equals the user's current tier")
     if not (0 <= target_tier < config.n_tiers):
         raise ValidationError(f"no such tier {target_tier}")
-    plan = _share_plans(pop.demands, config.capacity_shares, params.rho)
-    regret, _ = _move_regret(
-        float(pop.demands[user]), plan, assignment.members()[target_tier], user,
-        target_tier, config.prices[target_tier], params,
+    return _move_regret(
+        pop.demands, assignment.members()[target_tier], user,
+        config.capacity_shares[target_tier], config.prices[target_tier], params,
     )
-    return regret
-
-
-def _improving_moves(
-    demands: list[float],
-    config: TierConfig,
-    assignment: Assignment,
-    params: RegretParams,
-    plan: PlanFn,
-    first_only: bool = False,
-) -> list[tuple[int, int, float]]:
-    """All (user, target tier, regret drop) strict improvements.
-
-    A tier is planned when one of its members is first checked, so an early
-    exit leaves the rest unsolved.  A target whose price term alone reaches
-    the user's current regret is skipped unsolved: it cannot be strictly
-    better (see the module docstring).
-    """
-    members = assignment.members()
-    prices = config.prices
-    price_terms = [params.kappa * p for p in prices]
-    plans: list[Plan | None] = [None] * config.n_tiers
-    out: list[tuple[int, int, float]] = []
-    for u in range(len(demands)):
-        a = assignment.tier_of[u]
-        if plans[a] is None:
-            plans[a] = plan(a, members[a])
-        cur = price_terms[a] + _regret(demands[u], 1.0, plans[a], params)
-        for b in range(config.n_tiers):
-            if b == a or price_terms[b] >= cur:
-                continue
-            dev, _ = _move_regret(demands[u], plan, members[b], u, b, prices[b], params)
-            if dev < cur:
-                out.append((u, b, cur - dev))
-                if first_only:
-                    return out
-    return out
 
 
 def check_equilibrium(
@@ -389,8 +336,18 @@ def check_equilibrium(
     params = _game_params(config, params)
     if len(assignment.tier_of) != len(pop):
         raise ValidationError("assignment size must match population")
-    plan = _share_plans(pop.demands, config.capacity_shares, params.rho)
-    improving = _improving_moves(pop.demands.tolist(), config, assignment, params, plan)
+    members = assignment.members()
+    shares, prices = config.capacity_shares, config.prices
+    plans = [_download_plan(pop.demands, m, s, params.rho) for m, s in zip(members, shares)]
+    improving: list[tuple[int, int, float]] = []
+    for u, (d, a) in enumerate(zip(pop.demands.tolist(), assignment.tier_of)):
+        cur = params.kappa * prices[a] + _regret(d, 1.0, plans[a], params)
+        for b in range(config.n_tiers):
+            if b == a or params.kappa * prices[b] >= cur:
+                continue  # unsolved: a price term alone at cur cannot be strictly better
+            dev = _move_regret(pop.demands, members[b], u, shares[b], prices[b], params)
+            if dev < cur:
+                improving.append((u, b, cur - dev))
     return (not improving, improving)
 
 
@@ -411,10 +368,8 @@ class _SubsetPlans:
     the subset's plan at tier j's share.  Subsets of one size are solved
     together, up to ``_SUBSET_BLOCK`` at a time, in one
     :func:`download._optimize_rows` batch for both shares, which reads the
-    covering off their member-order sums as :func:`_download_plan` does.
-    Two float64 arrays of 2^n
-    per share keep the table at 32 MB at the enumeration cap.  Called with
-    a tier and its members, the table is the split's :data:`PlanFn`.
+    covering off their member-order sums as :func:`_download_plan` does.  Two
+    float64 arrays of 2^n per share keep the table at 32 MB at the enumeration cap.
     """
 
     def __init__(self, demands: np.ndarray, shares: tuple[float, float], rho: float):
@@ -440,25 +395,49 @@ class _SubsetPlans:
         t, r, _ = _optimize_rows(np.tile(rows, (2, 1)), caps, rho)
         self.t[tier, mask], self.r[tier, mask] = _covered_at_share(t, r, caps)
 
-    def __call__(self, tier: int, members: tuple[int, ...]) -> Plan:
-        mask = sum(1 << i for i in members)
+    def plan(self, tier: int, mask: int) -> Plan:
+        """The plan of the subset ``mask`` at tier ``tier``'s share."""
         return Plan(float(self.t[tier, mask]), float(self.r[tier, mask]), Mode.DOWNLOAD)
 
 
-def _nash_assignments(
-    demands: list[float], config: TierConfig, params: RegretParams, plan: PlanFn
-) -> list[Assignment]:
-    """Every Nash assignment of a two-tier game at the config's shares.
+def _nash_masks(
+    demands: np.ndarray, config: TierConfig, params: RegretParams, table: _SubsetPlans
+) -> np.ndarray:
+    """Ascending masks of every Nash assignment of a two-tier game at the table's split.
 
-    Bit i of an assignment's index puts user i in the second tier.
+    Bit i of a mask puts user i in the second tier.  Pass u drops each mask
+    left where u's regret joining tier 1 - a, read off the table like its
+    current one in tier a, is strictly lower; indifferent users stay.
+
+    Array and scalar (:func:`regret._regret`) regrets differ only in the
+    powers: numpy squares by multiplication and has its own vector ``pow``.
+    With each power within an ulp of exact, a power differs between paths
+    by 2 eps relative (eps = 2^-52), R by 5 eps and p + R (p >= 0 the price
+    term) by 6 eps, so cur and dev may order differently only where
+    |dev - cur| <= 12 eps max(cur, dev).  Entries within :data:`_NASH_TIE`,
+    32 eps to allow powers two ulps off, are decided again by the scalar
+    regrets, unless both regrets are 0 and each side is its price term.
     """
-    n = len(demands)
-    found: list[Assignment] = []
-    for bits in range(1 << n):
-        assignment = Assignment(tuple((bits >> i) & 1 for i in range(n)), 2)
-        if not _improving_moves(demands, config, assignment, params, plan, first_only=True):
-            found.append(assignment)
-    return found
+    full = (1 << demands.size) - 1
+    terms = np.array([params.kappa * p for p in config.prices])
+    live = np.arange(full + 1)  # masks no user has left so far, ascending
+    for u, d in enumerate(demands.tolist()):
+        tier = (live >> u) & 1
+        own = np.where(tier == 1, live, full ^ live)
+        join = (full ^ own) | (1 << u)
+        cur_r = _regrets(d, d, table.t[tier, own], table.r[tier, own], params)
+        dev_r = _regrets(d, d, table.t[1 - tier, join], table.r[1 - tier, join], params)
+        cur, dev = terms[tier] + cur_r, terms[1 - tier] + dev_r
+        moves = dev < cur
+        near = ((cur_r != 0.0) | (dev_r != 0.0)) & (
+            np.abs(dev - cur) <= _NASH_TIE * np.maximum(cur, dev))
+        for m in np.flatnonzero(near).tolist():
+            a = int(tier[m])
+            cur_s = terms[a] + _regret(d, 1.0, table.plan(a, int(own[m])), params)
+            dev_s = terms[1 - a] + _regret(d, 1.0, table.plan(1 - a, int(join[m])), params)
+            moves[m] = dev_s < cur_s
+        live = live[~moves]
+    return live
 
 
 def _split_config(config: TierConfig, split: float) -> TierConfig:
@@ -484,8 +463,8 @@ def enumerate_equilibria(
     params = _game_params(config, params)
     cfg = _split_config(config, split)
     table = _SubsetPlans(pop.demands, cfg.capacity_shares, params.rho)
-    found = _nash_assignments(pop.demands.tolist(), cfg, params, table)
-    return [a.class_id for a in found]
+    masks = _nash_masks(pop.demands, cfg, params, table).tolist()
+    return [Assignment(tuple((m >> i) & 1 for i in range(len(pop))), 2).class_id for m in masks]
 
 
 def sweep_splits(
@@ -508,26 +487,21 @@ def sweep_splits(
     splits = [min(i * step, 1.0) for i in range(n_steps + 1)]
     if splits[-1] < 1.0 - 1e-12:
         splits.append(1.0)
-    demands = pop.demands.tolist()
+    n, full, prices = len(pop), (1 << len(pop)) - 1, list(config.prices)
     points: list[SweepPoint] = []
     for split in splits:
         cfg = _split_config(config, split)
         # the enumeration and the regret statistics share one table per split
         table = _SubsetPlans(pop.demands, cfg.capacity_shares, params.rho)
-        pairs = tuple(
-            (a.class_id, _total_regret(pop, table, a.members(), cfg.prices, params))
-            for a in _nash_assignments(demands, cfg, params, table)
-        )
+        pairs = []
+        for m in _nash_masks(pop.demands, cfg, params, table).tolist():
+            a = Assignment(tuple((m >> i) & 1 for i in range(n)), 2)
+            plans = [table.plan(0, full ^ m), table.plan(1, m)]
+            regret = tiered_aggregate_regret(pop, a.members(), plans, prices, params)
+            pairs.append((a.class_id, regret))
         regs = [r for _, r in pairs]
-        points.append(
-            SweepPoint(
-                split,
-                pairs,
-                min(regs) if regs else None,
-                (sum(regs) / len(regs)) if regs else None,
-                max(regs) if regs else None,
-            )
-        )
+        stats = (min(regs), sum(regs) / len(regs), max(regs)) if regs else (None, None, None)
+        points.append(SweepPoint(split, tuple(pairs), *stats))
     return points
 
 
@@ -729,6 +703,21 @@ def _later_joiners(
     return user + 1 + np.flatnonzero((own != target) & (tier.floor[later] < cur))
 
 
+def _stackelberg_params(
+    prices: Sequence[float], kappa: float, max_iters: int, rho: float
+) -> tuple[tuple[float, ...], RegretParams]:
+    """(prices, regret params) of :func:`stackelberg_iterate`, refusing its inputs as it does."""
+    prices = tuple(float(p) for p in prices)
+    if len(prices) < 2:
+        raise ValidationError("stackelberg game needs at least 2 tiers")
+    TierConfig(prices, kappa, (0.0,) * len(prices))  # validates prices and kappa
+    if max_iters < 0:
+        raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
+    params = RegretParams(rho=rho, kappa=kappa)
+    _check_params(params)
+    return prices, params
+
+
 def stackelberg_iterate(
     pop: Population,
     prices: Sequence[float],
@@ -768,13 +757,7 @@ def stackelberg_iterate(
     ``progress``, if given, is called after each round with
     (iteration, thresholds, moves).
     """
-    prices = tuple(float(p) for p in prices)
-    if len(prices) < 2:
-        raise ValidationError("stackelberg game needs at least 2 tiers")
-    TierConfig(prices, kappa, (0.0,) * len(prices))  # validates prices and kappa
-    if max_iters < 0:
-        raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
-    params = RegretParams(rho=rho, kappa=kappa)
+    prices, params = _stackelberg_params(prices, kappa, max_iters, rho)
     n = len(pop)
     k = len(prices)
     if k == 3:
@@ -843,6 +826,6 @@ def stackelberg_iterate(
                 break  # deterministic dynamics revisiting a state: a cycle
             seen.add(assignment.tier_of)
 
-    plan = _share_plans(pop.demands, shares, params.rho)
-    regret = _total_regret(pop, plan, members, prices, params)
+    final = [_download_plan(pop.demands, m, s, params.rho) for m, s in zip(members, shares)]
+    regret = tiered_aggregate_regret(pop, members, final, list(prices), params)
     return EquilibriumReport(converged, iterations, assignment, plans, regret, shares)

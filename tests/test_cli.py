@@ -615,3 +615,52 @@ def test_zero_capacity_curve_is_the_single_zero_row(pop4, tmp_path):
     assert code == 0
     assert f"curve={curve} points=1" in out
     assert curve.read_text().splitlines() == ["T,r,regret", "0,0,4"]
+
+
+SMALL_RHO = ("error: download optimization requires rho >= 2; smaller exponents break the "
+             "per-interval convexity the closed form relies on")
+SWEEP = ["tiers", "sweep", "--capacity", 1.8, "--split-step", 0.5]
+STACKELBERG = ["tiers", "stackelberg", "--capacity", 1.8]
+
+
+# refused before the command=... line: (arguments but --pop, expected error line)
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["optimize", "--capacity", 1.8, "--rho", 1.5], SMALL_RHO, id="optimize-rho"),
+    pytest.param(["optimize", "--capacity", 1.8, "--mode", "stream"],
+                 "error: stream mode requires --codecs", id="optimize-stream-codecs"),
+    pytest.param(["tiers", "sweep", "--capacity", 1.8, "--prices", "0.5,1.0", "--split-step", 0],
+                 "error: step must be in (0, 1), got 0.0", id="sweep-step"),
+    pytest.param(SWEEP + ["--prices", "0.5,0.75,1.0"],
+                 "error: equilibrium enumeration handles exactly 2 tiers", id="sweep-3-prices"),
+    pytest.param(SWEEP + ["--prices", "1.0,0.5"], "error: prices must be strictly ascending",
+                 id="sweep-descending"),
+    pytest.param(SWEEP + ["--prices", "0.5,1.0", "--rho", 1.5], SMALL_RHO, id="sweep-rho"),
+    pytest.param(STACKELBERG + ["--prices", "0.5,1.0", "--max-iters", -1],
+                 "error: max_iters must be >= 0, got -1", id="stackelberg-max-iters"),
+    pytest.param(STACKELBERG + ["--prices", "1.0,0.5"], "error: prices must be strictly ascending",
+                 id="stackelberg-descending"),
+    pytest.param(STACKELBERG + ["--prices", "0.5,1.0", "--rho", 1.5], SMALL_RHO,
+                 id="stackelberg-rho"),
+])
+def test_refusals_print_nothing_to_stdout(pop4, tmp_path, argv, expected):
+    path = write_pop(pop4, tmp_path)
+    code, out, err = run(argv + ["--pop", path])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [expected]
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    path = write_pop(generate_lognormal(12, 0.0, 0.5, seed=3), tmp_path)
+    src = os.path.dirname(os.path.dirname(throttleplan.__file__))
+    argv = [sys.executable, "-m", "throttleplan.cli", "tiers", "stackelberg", "--pop", str(path),
+            "--capacity-fraction", "0.9", "--prices", "0.5,1.0"]
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command prints its first line
+    try:
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

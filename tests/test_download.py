@@ -239,6 +239,15 @@ def test_threshold_curve_caps_the_grid(pop4):
         threshold_curve(pop4, 1.8, P2, step=1e-12)
     with pytest.raises(ValidationError, match="exceeds the cap of 1000000"):
         grid_oracle(pop4, 1.8, P2, step=1e-12)
-    with pytest.raises(ValidationError, match="step must be positive"):
-        threshold_curve(pop4, 1.8, P2, step=math.nan)
     assert len(threshold_curve(pop4, 1.8, P2, step=0.55 / MAX_GRID_POINTS)) == MAX_GRID_POINTS + 1
+
+
+@pytest.mark.parametrize("step, message", [
+    (0.0, "step must be positive, got 0.0"),
+    (math.nan, "step must be positive, got nan"),
+    (math.inf, "step must be finite, got inf"),
+])
+def test_threshold_curve_refuses_bad_steps(pop4, step, message):
+    with pytest.raises(ValidationError) as exc:
+        threshold_curve(pop4, 1.8, P2, step=step)
+    assert str(exc.value) == message

@@ -121,5 +121,14 @@ def test_streaming_curve_caps_the_grid(stream3):
     # never run uncapped: a 1e-12 step would ask for a grid of ~1e12 points
     with pytest.raises(ValidationError, match="exceeds the cap of 1000000"):
         streaming_curve(stream3, 0.9, LADDER, P2, step=1e-12)
-    with pytest.raises(ValidationError, match="step must be positive"):
-        streaming_curve(stream3, 0.9, LADDER, P2, step=math.nan)
+
+
+@pytest.mark.parametrize("step, message", [
+    (0.0, "step must be positive, got 0.0"),
+    (math.nan, "step must be positive, got nan"),
+    (math.inf, "step must be finite, got inf"),
+])
+def test_streaming_curve_refuses_bad_steps(stream3, step, message):
+    with pytest.raises(ValidationError) as exc:
+        streaming_curve(stream3, 0.9, LADDER, P2, step=step)
+    assert str(exc.value) == message

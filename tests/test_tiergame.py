@@ -90,7 +90,7 @@ def test_tier_covered_up_to_rounding_is_planned_at_its_share():
     want = Plan(4.082, 4.082, Mode.DOWNLOAD)
     assert optimize_tier(pop, range(8), 4.082, P2) == want
     table = tiergame._SubsetPlans(pop.demands, (4.082, 1.0), P2.rho)
-    assert table(0, tuple(range(8))) == want
+    assert table.plan(0, (1 << 8) - 1) == want
     others = [0, 1, 2, 4, 5, 6, 7]
     plan = tiergame._download_plan(pop.demands, tuple(others), 4.082, P2.rho)
     tier = tiergame._Tier(pop.demands, others, 4.082, plan, 0.0, P2)

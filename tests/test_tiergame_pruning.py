@@ -1,7 +1,7 @@
 """The tier game's pruned best-response loops against unpruned references.
 
 ``stackelberg_iterate`` skips a target tier whose regret floor already
-reaches the mover's best option, and ``_improving_moves`` skips a target
+reaches the mover's best option, and ``check_equilibrium`` skips a target
 whose price term reaches the user's current regret.  The references below
 solve every deviation, plan every tier up front and rebuild the assignment
 after every move, as the loops did before the floors.  The library must
@@ -17,6 +17,7 @@ that floor and the tier's t_hat are kept below as references.
 
 import math
 from functools import cache, partial
+from itertools import count
 
 import numpy as np
 import pytest
@@ -52,7 +53,6 @@ from throttleplan.tiergame import (
     _join_levels,
     _move_regret,
     _tier_consumption,
-    _total_regret,
 )
 from throttleplan.regret import tiered_aggregate_regret
 
@@ -159,13 +159,8 @@ def _reference_stackelberg(pop, prices, capacity, kappa, seed, max_iters=tiergam
     return EquilibriumReport(converged, iterations, assignment, plans, regret, shares)
 
 
-def _by_tier(plan, shares):
-    """A (members, share) plan function as the library's (tier, members) one."""
-    return lambda tier, members: plan(members, shares[tier])
-
-
-def _reference_moves(demands, config, assignment, params, plan, first_only=False):
-    """``_improving_moves`` planning every tier up front and solving every target."""
+def _reference_moves(demands, config, assignment, params, plan):
+    """``check_equilibrium``'s moves, planning every tier up front and solving every target."""
     members = assignment.members()
     shares, prices = config.capacity_shares, config.prices
     plans = [plan(m, share) for m, share in zip(members, shares)]
@@ -179,8 +174,6 @@ def _reference_moves(demands, config, assignment, params, plan, first_only=False
             dev, _ = _reference_deviation(demands, plan, members[b], u, shares[b], prices[b], params)
             if dev < cur:
                 out.append((u, b, cur - dev))
-                if first_only:
-                    return out
     return out
 
 
@@ -247,10 +240,6 @@ def test_check_equilibrium_matches_eager_reference():
         plan = partial(_download_plan, pop.demands, rho=params.rho)
         want = _reference_moves(pop.demands.tolist(), config, assignment, params, plan)
         assert check_equilibrium(pop, config, assignment) == (not want, want)
-        first = _reference_moves(pop.demands.tolist(), config, assignment, params, plan, True)
-        assert tiergame._improving_moves(
-            pop.demands.tolist(), config, assignment, params,
-            _by_tier(plan, config.capacity_shares), first_only=True) == first
 
 
 def test_enumeration_matches_eager_reference():
@@ -270,26 +259,22 @@ def test_enumeration_matches_eager_reference():
         ]
         want = [
             a.class_id for a in assignments
-            if not _reference_moves(demands, cfg, a, params, plan, first_only=True)
+            if not _reference_moves(demands, cfg, a, params, plan)
         ]
         assert enumerate_equilibria(pop, config, split) == want
 
 
 def _lazy_nash(pop, cfg, params, plan):
-    """The enumeration as it was: each assignment built and checked by ``_improving_moves``."""
+    """The enumeration as a loop: each assignment built and checked by ``_reference_moves``."""
     n = len(pop)
     demands = pop.demands.tolist()
     assignments = (Assignment(tuple((bits >> i) & 1 for i in range(n)), 2) for bits in range(1 << n))
-    by_tier = _by_tier(plan, cfg.capacity_shares)
-    return [
-        a for a in assignments
-        if not tiergame._improving_moves(demands, cfg, a, params, by_tier, first_only=True)
-    ]
+    return [a for a in assignments if not _reference_moves(demands, cfg, a, params, plan)]
 
 
-def _lazy_sweep(pop, config, step):
+def _lazy_sweep(pop, config, step, params):
     """``sweep_splits`` solving each (members, share) key once, on demand, through a memo."""
-    params = tiergame._game_params(config, None)
+    params = tiergame._game_params(config, params)
     n_steps = int(math.floor(1.0 / step + 1e-9))
     splits = [min(i * step, 1.0) for i in range(n_steps + 1)]
     if splits[-1] < 1.0 - 1e-12:
@@ -299,8 +284,9 @@ def _lazy_sweep(pop, config, step):
         cfg = tiergame._split_config(config, split)
         plan = cache(partial(_download_plan, pop.demands, rho=params.rho))
         pairs = tuple(
-            (a.class_id, _total_regret(pop, _by_tier(plan, cfg.capacity_shares), a.members(),
-                                       cfg.prices, params))
+            (a.class_id, tiered_aggregate_regret(
+                pop, a.members(), [plan(m, s) for m, s in zip(a.members(), cfg.capacity_shares)],
+                list(cfg.prices), params))
             for a in _lazy_nash(pop, cfg, params, plan)
         )
         regs = [r for _, r in pairs]
@@ -322,11 +308,11 @@ def _tied_population(rng, n):
     )
 
 
-@pytest.mark.parametrize("block", range(len(KAPPAS)))
-def test_subset_table_matches_the_lazy_path(block):
+def _check_subset_table(block, rho):
     """Sizes 1-10 spread over the blocks, every kappa, splits 0 and 1 included."""
     rng = np.random.default_rng(7400 + block)
     kappa = KAPPAS[block]
+    given = RegretParams(rho=rho)
     found = 0
     for n in range(1 + block, 11, len(KAPPAS)):
         for make in (_tied_population, _random_population):
@@ -335,17 +321,66 @@ def test_subset_table_matches_the_lazy_path(block):
             capacity = float(rng.uniform(0.3, 0.99)) * pop.total_demand
             config = TierConfig(prices, kappa, (capacity, 0.0))
             step = float(rng.choice([0.25, 0.5]))
-            got, want = sweep_splits(pop, config, step), _lazy_sweep(pop, config, step)
+            got = sweep_splits(pop, config, step, given)
+            want = _lazy_sweep(pop, config, step, given)
             assert repr(got) == repr(want), (n, prices, capacity, kappa)
             assert got[0].split == 0.0 and got[-1].split == 1.0
             found += sum(len(p.equilibria) for p in got)
             split = float(rng.uniform())
             cfg = tiergame._split_config(config, split)
-            params = tiergame._game_params(config, None)
+            params = tiergame._game_params(config, given)
             plan = cache(partial(_download_plan, pop.demands, rho=params.rho))
             ids = [a.class_id for a in _lazy_nash(pop, cfg, params, plan)]
-            assert enumerate_equilibria(pop, config, split) == ids
+            assert enumerate_equilibria(pop, config, split, given) == ids
     assert found > 0
+
+
+@pytest.mark.parametrize("block", range(len(KAPPAS)))
+def test_subset_table_matches_the_lazy_path(block):
+    _check_subset_table(block, 2.0)
+
+
+@pytest.mark.parametrize("rho", [2.5, 3.0])
+@pytest.mark.parametrize("block", range(len(KAPPAS)))
+def test_subset_table_matches_the_lazy_path_at_other_powers(block, rho):
+    """numpy squares by multiplication but takes other powers with its own
+    vector code, so the array Nash check meets both kinds of last-bit
+    disagreement with the scalar regrets."""
+    _check_subset_table(block, rho)
+
+
+@pytest.mark.parametrize("rho", [2.0, 2.5, 3.0])
+def test_indifferent_users_do_not_move(rho):
+    """Three equal demands at split 0.5 and kappa 0: a member of the two-user tier
+    joining the lone user's tier meets the same plan and the same regret, bit for bit,
+    so every 2-1 assignment is Nash, and only they are."""
+    pop = Population([UserProfile(i, 1.0, 1.0) for i in range(3)])
+    config = TierConfig((0.5, 1.0), 0.0, (0.8 * pop.total_demand, 0.0))
+    params = tiergame._game_params(config, RegretParams(rho=rho))
+    cfg = tiergame._split_config(config, 0.5)
+    pair = tiergame._download_plan(pop.demands, (0, 1), cfg.capacity_shares[0], rho)
+    assert _regret(1.0, 1.0, pair, params) > 0.0
+    want = ["100", "010", "110", "001", "101", "011"]
+    assert enumerate_equilibria(pop, config, 0.5, params) == want
+    plan = cache(partial(_download_plan, pop.demands, rho=rho))
+    assert [a.class_id for a in _lazy_nash(pop, cfg, params, plan)] == want
+
+
+def test_near_ties_are_decided_by_the_scalar_regret(monkeypatch):
+    """The tie above with every nonzero array regret one ulp off, the current one up
+    and the deviation down, as a numpy power may be: the scalar re-check keeps the
+    indifferent users in place."""
+    pop = Population([UserProfile(i, 1.0, 1.0) for i in range(3)])
+    config = TierConfig((0.5, 1.0), 0.0, (0.8 * pop.total_demand, 0.0))
+    calls = count()
+    exact = tiergame._regrets
+
+    def skewed(*args):
+        out = exact(*args)  # the check asks for the current regrets, then the deviations
+        return np.where(out > 0.0, np.nextafter(out, np.inf if next(calls) % 2 == 0 else 0.0), out)
+
+    monkeypatch.setattr(tiergame, "_regrets", skewed)
+    assert enumerate_equilibria(pop, config, 0.5) == ["100", "010", "110", "001", "101", "011"]
 
 
 DEMANDS = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 3.0]), st.floats(1e-2, 1e2))
@@ -364,10 +399,8 @@ def test_floor_never_exceeds_the_solved_deviation(members, mover, fraction, pric
     tier = tuple(range(len(members)))
     share = fraction * float(sum(members))
     params = RegretParams(rho=rho, kappa=1.0)
-    plan = partial(_download_plan, demands, rho=rho)
     t_hat = _zero_rate_threshold(demands, tier, share)
-    dev, _ = _move_regret(
-        mover, _by_tier(plan, (share,)), tier, len(members), 0, price_term, params)
+    dev = _move_regret(demands, tier, len(members), share, price_term, params)
     assert _zero_rate_floor(price_term, t_hat, mover, 2 * rho) <= dev
     if share < demands.sum():
         grown = _zero_rate_threshold(demands, tuple(range(demands.size)), share)
@@ -446,9 +479,7 @@ def test_crossing_floor_never_exceeds_the_solved_deviation(
     demands = np.array(members + [mover])
     tier = tuple(range(len(members)))
     params = RegretParams(rho=rho, kappa=1.0)
-    plan = partial(_download_plan, demands, rho=rho)
-    dev, _ = _move_regret(
-        mover, _by_tier(plan, (share,)), tier, len(members), 0, price_term, params)
+    dev = _move_regret(demands, tier, len(members), share, price_term, params)
     t_zero, t_cross = _join_levels(demands, tier, share)
     assert _join_floor(price_term, t_zero, mover, 2 * rho, t_cross) <= dev
 
