@@ -206,12 +206,12 @@ def cmd_tiers(args) -> int:
     prices = tuple(_floats("--prices", args.prices))
     params = RegretParams(rho=args.rho, kappa=args.kappa)
     _check_params(params)
+    config = TierConfig(prices, args.kappa, (cap,) + (0.0,) * (len(prices) - 1))
     if len(prices) > 1 and args.game == "sweep":
         # a sweep prints nothing while it runs: it runs, and checks its input, before the echo
-        config = TierConfig(prices, args.kappa, (cap,) + (0.0,) * (len(prices) - 1))
         points = sweep_splits(pop, config, args.split_step, params)
     elif len(prices) > 1:
-        _stackelberg_params(prices, args.kappa, args.max_iters, args.rho)
+        _stackelberg_params(prices, args.kappa, args.max_iters, args.rho, args.seed)
     _echo("tiers", sub=args.game, pop=args.pop, digest=digest,
           prices=args.prices, kappa=args.kappa, capacity=f"{cap:.6f}")
     if len(prices) == 1:

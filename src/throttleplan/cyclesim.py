@@ -8,8 +8,13 @@ to the post-throttle rate, capped at their own rate as for a low-rate user in
 ``allocation.partition``, until the cycle resets.  Simulation begins one
 cycle before the recorded window so hour 0 already sees users mid-cycle.
 
-Per-user randomness comes from spawned seed-sequence substreams, so the
-trace is reproducible and independent of evaluation order.  Users run in
+Per-user randomness: user i draws from ``default_rng`` of child i of
+``SeedSequence(seed).spawn``, so the trace is reproducible and independent
+of evaluation order.  No ``SeedSequence`` is built per user: ``_child_seeds``
+runs numpy's SeedSequence mixing over uint32 columns, one row per user and
+about a thousand users at a time, to get each child's ``generate_state(4,
+np.uint64)`` words, and numpy's PCG64 seeds itself from that row, so the
+streams are the same bit for bit.  Users run in
 chunks of ``CHUNK_USERS`` rows that start at each user's burn-in start, so
 cycles begin on the same columns in every row; each row's recorded window
 is then copied out as one slice, and totals still add users one at a time,
@@ -30,8 +35,10 @@ no count reaches (T = inf, or s = 0 < T); T = 0 gives m = 0.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import islice
 
 import numpy as np
 
@@ -46,6 +53,18 @@ HOURS_PER_DAY = 24
 DAYS_PER_CYCLE = 30
 #: Users simulated together as one block of (user, hour) columns.
 CHUNK_USERS = 16
+#: Users whose stream seeds are derived together.
+_SEED_BLOCK = 1024
+#: A one-word spawn key holds indices below 2**32; numpy uses two words from there.
+_MAX_STREAMS = 1 << 32
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_WORD = 0xFFFFFFFF
 
 
 class UserState(IntEnum):
@@ -74,6 +93,10 @@ class SimConfig:
         if self.horizon_days < self.days_per_cycle:
             raise ValidationError(
                 f"horizon must cover at least one {self.days_per_cycle}-day cycle"
+            )
+        if self.plan.throttles and self.plan.rate == math.inf:
+            raise ValidationError(
+                f"a throttling plan needs a finite rate, got T={self.plan.threshold} r=inf"
             )
         hours = self.horizon_days * self.hours_per_day
         if hours > MAX_GRID_POINTS:
@@ -177,9 +200,83 @@ def _chunk(uniforms, burns, cols, config, work):
     return consume, state, np.multiply(ax, step_full[:, None], out=free)
 
 
+def _hasher(const: int, mult: int):
+    """numpy's SeedSequence hash step: xor the running constant, advance it, multiply, xorshift."""
+
+    def step(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _WORD
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return step
+
+
+def _mix(x, y):
+    out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return out ^ (out >> _XSHIFT)
+
+
+def _child_seeds(seed: int, lo: int, count: int) -> np.ndarray:
+    """(count, 4) uint64: row i is child lo + i of ``SeedSequence(seed).spawn``'s
+    ``generate_state(4, np.uint64)``, bit for bit.
+
+    numpy's mixing, run once over uint32 columns with one row per child: the
+    entropy is the seed's 32-bit words, little end first, padded with zeros to
+    the pool size, then the child's spawn index.  Only that last word differs
+    between rows, and the hash constants advance the same way in every row.
+    """
+    if not 0 <= lo <= lo + count <= _MAX_STREAMS:
+        raise ValidationError(
+            f"spawn indices must lie in [0, {_MAX_STREAMS}), got [{lo}, {lo + count})"
+        )
+    words = [(seed >> s) & _WORD for s in range(0, seed.bit_length() or 1, 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(lo, lo + count, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state: 8 words cycling over the pool, paired little end first
+    generate = _hasher(_INIT_B, _MULT_B)
+    state = np.empty((count, 2 * _POOL_SIZE), dtype="<u4")
+    for j in range(2 * _POOL_SIZE):
+        state[:, j] = generate(pool[j % _POOL_SIZE])
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+def _user_rngs(seed: int, n: int):
+    """Each user's ``default_rng(SeedSequence(seed).spawn(n)[i])``, in user order."""
+    # numpy.random loads here, on the first draw, not when the package is imported
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        """Hands PCG64 a child's precomputed ``generate_state(4, np.uint64)``."""
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    for lo in range(0, n, _SEED_BLOCK):
+        for row in _child_seeds(seed, lo, min(_SEED_BLOCK, n - lo)):
+            yield Generator(PCG64(Seeded(row)))
+
+
 def simulate(pop: Population, config: SimConfig) -> CycleTrace:
     """Run the hourly three-state simulation; ``unthrottled`` reuses its draws."""
     n = len(pop)
+    if n > _MAX_STREAMS:
+        raise ValidationError(f"at most {_MAX_STREAMS} users get their own stream, got {n}")
     plan, hpd = config.plan, config.hours_per_day
     hours = config.horizon_days * hpd
     cycle = config.days_per_cycle * hpd
@@ -197,7 +294,7 @@ def simulate(pop: Population, config: SimConfig) -> CycleTrace:
     cols = (step_full, slow / cycle, _onset_counts(step_full, plan.threshold, cycle),
             pop.activities, ys)
 
-    seq = np.random.SeedSequence(config.seed)
+    rngs = _user_rngs(config.seed, n)
     # one row per user from its burn-in start, padded to whole cycles
     buffer = np.empty((CHUNK_USERS, -(-(cycle + hours) // cycle) * cycle))
     # separate chunk-sized buffers: no block of the run outgrows the draws
@@ -207,8 +304,7 @@ def simulate(pop: Population, config: SimConfig) -> CycleTrace:
     for lo in range(0, n, CHUNK_USERS):
         hi = min(lo + CHUNK_USERS, n)
         burns = []
-        for i, child in enumerate(seq.spawn(hi - lo)):
-            rng = np.random.default_rng(child)
+        for i, rng in enumerate(islice(rngs, hi - lo)):
             starts.append(int(rng.integers(0, config.days_per_cycle)))
             burns.append((cycle - starts[-1] * hpd) % cycle)
             rng.random(out=buffer[i, : burns[-1] + hours])

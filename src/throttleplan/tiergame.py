@@ -76,7 +76,7 @@ import numpy as np
 from .allocation import Mode, Plan, _check_capacity
 from .download import _check_grid_size, _check_params, _optimize_rows, optimize_demands
 from .errors import InfeasibleError, ThrottlePlanError, ValidationError
-from .population import DEFAULT_SEED, Population, assign_tiers_binomial
+from .population import DEFAULT_SEED, Population, _check_seed, assign_tiers_binomial
 from .regret import DEFAULT_RHO, RegretParams, _regret, _regrets, tiered_aggregate_regret
 
 ENUMERATION_CAP = 20
@@ -704,7 +704,7 @@ def _later_joiners(
 
 
 def _stackelberg_params(
-    prices: Sequence[float], kappa: float, max_iters: int, rho: float
+    prices: Sequence[float], kappa: float, max_iters: int, rho: float, seed: int
 ) -> tuple[tuple[float, ...], RegretParams]:
     """(prices, regret params) of :func:`stackelberg_iterate`, refusing its inputs as it does."""
     prices = tuple(float(p) for p in prices)
@@ -713,6 +713,8 @@ def _stackelberg_params(
     TierConfig(prices, kappa, (0.0,) * len(prices))  # validates prices and kappa
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
+    if len(prices) == 3:  # only the three-tier start draws from the seed
+        _check_seed(seed)
     params = RegretParams(rho=rho, kappa=kappa)
     _check_params(params)
     return prices, params
@@ -757,7 +759,7 @@ def stackelberg_iterate(
     ``progress``, if given, is called after each round with
     (iteration, thresholds, moves).
     """
-    prices, params = _stackelberg_params(prices, kappa, max_iters, rho)
+    prices, params = _stackelberg_params(prices, kappa, max_iters, rho, seed)
     n = len(pop)
     k = len(prices)
     if k == 3:

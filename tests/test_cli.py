@@ -47,6 +47,15 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # simulate loads it on its first draw, and population generators on theirs
+    src = os.path.dirname(os.path.dirname(throttleplan.__file__))
+    probe = "import sys, throttleplan.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_generate_lognormal(tmp_path):
     out_path = tmp_path / "pop.csv"
     code, out, err = run(
@@ -392,12 +401,14 @@ def test_simulate_is_byte_reproducible(pop4, tmp_path):
     assert a == b
 
 
-def test_simulate_plan_with_an_infinite_rate_is_unthrottled(pop4, tmp_path):
+def test_simulate_plan_with_an_infinite_threshold_is_unthrottled(pop4, tmp_path):
+    # T = inf spells "no throttling" whatever r is; a finite T with r = inf is refused
     code, out, _ = run(
         ["simulate", "--pop", write_pop(pop4, tmp_path), "--capacity", 1.8,
-         "--plan", "0.3,inf", "--days", 30, "--out-prefix", tmp_path / "x"]
+         "--plan", "inf,0.1", "--days", 30, "--out-prefix", tmp_path / "x"]
     )
     assert code == 0
+    assert "plan: no throttling" in out
     assert "variability_ratio=0.000000 excluded_hours=0" in out
     assert (tmp_path / "x_throttled_hourly.csv").read_bytes() == (
         tmp_path / "x_unthrottled_hourly.csv"
@@ -621,6 +632,7 @@ SMALL_RHO = ("error: download optimization requires rho >= 2; smaller exponents 
              "per-interval convexity the closed form relies on")
 SWEEP = ["tiers", "sweep", "--capacity", 1.8, "--split-step", 0.5]
 STACKELBERG = ["tiers", "stackelberg", "--capacity", 1.8]
+OUT = object()  # stands for an output prefix in the test's own directory
 
 
 # refused before the command=... line: (arguments but --pop, expected error line)
@@ -641,13 +653,25 @@ STACKELBERG = ["tiers", "stackelberg", "--capacity", 1.8]
                  id="stackelberg-descending"),
     pytest.param(STACKELBERG + ["--prices", "0.5,1.0", "--rho", 1.5], SMALL_RHO,
                  id="stackelberg-rho"),
+    pytest.param(STACKELBERG + ["--prices", "0.5,0.75,1.0", "--seed", -1],
+                 "error: seed must be a non-negative integer, got -1", id="stackelberg-seed"),
+    pytest.param(SWEEP + ["--prices=-1"], "error: prices must be >= 0 and finite",
+                 id="single-price-negative"),
+    pytest.param(SWEEP + ["--prices=nan"], "error: prices must be >= 0 and finite",
+                 id="single-price-nan"),
+    pytest.param(STACKELBERG + ["--prices=-1"], "error: prices must be >= 0 and finite",
+                 id="stackelberg-single-price-negative"),
+    pytest.param(["simulate", "--capacity", 1.8, "--plan", "0.3,inf", "--out-prefix", OUT],
+                 "error: a throttling plan needs a finite rate, got T=0.3 r=inf",
+                 id="simulate-plan-infinite-rate"),
 ])
 def test_refusals_print_nothing_to_stdout(pop4, tmp_path, argv, expected):
     path = write_pop(pop4, tmp_path)
-    code, out, err = run(argv + ["--pop", path])
+    code, out, err = run([tmp_path / "x" if a is OUT else a for a in argv] + ["--pop", path])
     assert code == 2
     assert out == ""
     assert err.splitlines() == [expected]
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):

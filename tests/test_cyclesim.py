@@ -242,6 +242,18 @@ def test_config_rejects_negative_seed():
         SimConfig(Plan(0.3, 0.1, Mode.STREAMING), seed=-1)
 
 
+def test_config_refuses_a_throttling_plan_with_an_infinite_rate():
+    # a user past T would be recorded THROTTLED at full rate
+    for mode in Mode:
+        with pytest.raises(ValidationError, match="a throttling plan needs a finite rate"):
+            SimConfig(Plan(0.3, math.inf, mode))
+        with pytest.raises(ValidationError, match="a throttling plan needs a finite rate"):
+            SimConfig(Plan(0.0, math.inf, mode))
+        # an infinite threshold is no throttling, whatever the rate
+        assert not SimConfig(Plan(math.inf, 0.1, mode)).plan.throttles
+        assert not SimConfig(Plan.no_throttling(mode)).plan.throttles
+
+
 def test_config_rejects_a_horizon_over_the_cap():
     # checked before anything is allocated: the states alone would be 24 GB
     with pytest.raises(ValidationError, match="exceeds the cap"):
@@ -254,7 +266,7 @@ def test_a_throttle_above_the_users_rate_keeps_their_consumption(mode):
     # 0.2 * 0.5 and back divide exactly, so download activity stays 0.5
     pop = Population([UserProfile(0, 0.2, 1.0), UserProfile(1, 0.2, 0.5)])
     free = simulate(pop, SimConfig(Plan.no_throttling(mode), horizon_days=60, seed=1))
-    for plan in (Plan(0.1, 0.3, mode), Plan(0.01, math.inf, mode)):
+    for plan in (Plan(0.1, 0.3, mode), Plan(0.01, 1e300, mode)):
         trace = simulate(pop, SimConfig(plan, horizon_days=60, seed=1, record_states=True))
         assert trace.hourly_total.tobytes() == free.hourly_total.tobytes()
         assert trace.per_user_total.tobytes() == free.per_user_total.tobytes()

@@ -342,6 +342,21 @@ def test_stackelberg_validation():
         stackelberg_iterate(pop, (0.5, 1.0), 1.0, 0.05, max_iters=-1)
 
 
+def test_stackelberg_refuses_a_negative_seed_before_any_solve(monkeypatch):
+    # only the three-tier start draws from the seed; it is refused before that draw
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached past the input check")
+
+    monkeypatch.setattr(tiergame, "assign_tiers_binomial", unreachable)
+    monkeypatch.setattr(tiergame, "solve_multi_tier", unreachable)
+    pop = generate_lognormal(10, 0.0, 0.5, seed=1)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+        stackelberg_iterate(pop, (0.5, 0.75, 1.0), 0.8 * pop.total_demand, 0.05, seed=-1)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+        stackelberg_iterate(pop, (0.5, 0.75, 1.0), 0.8 * pop.total_demand, 0.05, max_iters=0,
+                            seed=-1)
+
+
 def test_config_rejects_non_finite_values():
     with pytest.raises(ValidationError, match="prices must be >= 0 and finite"):
         TierConfig((0.5, math.nan), 0.01, (0.5, 0.5))
