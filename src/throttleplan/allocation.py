@@ -237,7 +237,7 @@ def _zero_rate_bound(ds: np.ndarray, prefix: np.ndarray, capacity: float) -> flo
     return float(_zero_rate_bounds(ds[None], prefix[None], np.array([capacity]))[0])
 
 
-def max_threshold(pop: Population, capacity: float, mode: Mode = Mode.DOWNLOAD) -> ThresholdBound:
+def max_threshold(pop: Population, capacity: float) -> ThresholdBound:
     """Largest threshold any capacity-tight plan can use.
 
     The bound comes from setting the post-throttle rate to zero, which makes

@@ -166,19 +166,19 @@ def cmd_optimize(args) -> int:
         raise ThrottlePlanError("stream mode requires --codecs")
     codecs = CodecSet.parse(args.codecs) if args.mode == "stream" else None
     step = _curve_step(args, pop, cap) if args.curve else None
+    # solved before the echo, so a codec ladder with no feasible rate prints nothing
+    sol = None
+    if cap < pop.total_demand:
+        sol = (optimize_download(pop, cap, params) if codecs is None
+               else optimize_streaming(pop, cap, codecs, params))
     _echo("optimize", pop=args.pop, digest=digest, mode=args.mode,
           capacity=f"{cap:.6f}", rho=args.rho)
-    if cap >= pop.total_demand:
+    if sol is None:
         print("no throttling needed: capacity covers total demand")
         print("T=inf r=inf regret=0")
         return 0
-    if args.mode == "download":
-        sol = optimize_download(pop, cap, params)
-        plan, extras = sol.plan, ()
-    else:
-        ssol = optimize_streaming(pop, cap, codecs, params)
-        plan, extras = ssol.plan, ssol.candidates
-        sol = ssol
+    plan = sol.plan
+    extras = () if codecs is None else sol.candidates
     residual = abs(consumption(pop, plan) - cap)
     for cand in extras:
         print(
@@ -299,10 +299,13 @@ def cmd_simulate(args) -> int:
         plan=plan, horizon_days=args.days, diurnal=args.diurnal, seed=args.seed,
         record_states=args.states,
     )
-    _echo("simulate", pop=args.pop, digest=digest, mode=args.mode,
-          capacity=f"{cap:.6f}", days=args.days, diurnal=args.diurnal, seed=args.seed)
     throttled = simulate(pop, config)
     unthrottled = throttled.unthrottled
+    # before the echo and the files, so a trace that is zero everywhere prints and writes nothing
+    zero_hours = int(np.sum(unthrottled.hourly_total == 0))
+    ratio = variability_ratio(throttled, unthrottled)
+    _echo("simulate", pop=args.pop, digest=digest, mode=args.mode,
+          capacity=f"{cap:.6f}", days=args.days, diurnal=args.diurnal, seed=args.seed)
     hourly_unit = cap / (DAYS_PER_CYCLE * HOURS_PER_DAY)
 
     prefix = args.out_prefix
@@ -329,8 +332,6 @@ def cmd_simulate(args) -> int:
             for h in range(st.shape[1]):
                 head = f"{h},"
                 fh.write(head + head.join(tails[st[:, h], users]))
-    zero_hours = int(np.sum(unthrottled.hourly_total == 0))
-    ratio = variability_ratio(throttled, unthrottled)
     if plan.throttles:
         print(f"plan T={plan.threshold:.6f} r={plan.rate:.6f}")
     else:

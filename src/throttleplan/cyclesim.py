@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import IntEnum
 from itertools import islice
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,6 +52,7 @@ logger = logging.getLogger(__name__)
 
 HOURS_PER_DAY = 24
 DAYS_PER_CYCLE = 30
+_CYCLE_HOURS = DAYS_PER_CYCLE * HOURS_PER_DAY
 #: Users simulated together as one block of (user, hour) columns.
 CHUNK_USERS = 16
 #: Users whose stream seeds are derived together.
@@ -75,30 +77,29 @@ class UserState(IntEnum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation settings: plan, horizon, diurnal flag, seed."""
+    """Simulation settings: plan, horizon, diurnal flag, seed.
+
+    The calendar is fixed, so ``hours_per_day`` is a class constant, not a
+    field; the benchmark's tracer (``perfbench/tracing.py``) reads it.
+    """
+
+    hours_per_day: ClassVar[int] = HOURS_PER_DAY
 
     plan: Plan
     horizon_days: int = DAYS_PER_CYCLE
     diurnal: bool = False
     seed: int = DEFAULT_SEED
-    days_per_cycle: int = DAYS_PER_CYCLE
-    hours_per_day: int = HOURS_PER_DAY
+    _: KW_ONLY  # a fifth positional argument raises TypeError, not sets record_states
     record_states: bool = False
 
     def __post_init__(self):
-        if self.days_per_cycle <= 0 or self.hours_per_day <= 0:
-            raise ValidationError("cycle dimensions must be positive")
-        if self.diurnal and self.hours_per_day == 1:
-            raise ValidationError("a diurnal profile needs at least 2 hours per day")
-        if self.horizon_days < self.days_per_cycle:
-            raise ValidationError(
-                f"horizon must cover at least one {self.days_per_cycle}-day cycle"
-            )
+        if self.horizon_days < DAYS_PER_CYCLE:
+            raise ValidationError(f"horizon must cover at least one {DAYS_PER_CYCLE}-day cycle")
         if self.plan.throttles and self.plan.rate == math.inf:
             raise ValidationError(
                 f"a throttling plan needs a finite rate, got T={self.plan.threshold} r=inf"
             )
-        hours = self.horizon_days * self.hours_per_day
+        hours = self.horizon_days * HOURS_PER_DAY
         if hours > MAX_GRID_POINTS:
             raise ValidationError(f"a horizon of {hours} hours exceeds the cap of {MAX_GRID_POINTS}")
         _check_seed(self.seed)
@@ -118,40 +119,38 @@ class CycleTrace:
     hourly_total: np.ndarray
     per_user_total: np.ndarray
     start_days: np.ndarray
-    hours_per_day: int
+    _: KW_ONLY  # a fourth positional argument raises TypeError, not sets per_user_state
     per_user_state: np.ndarray | None = None
     unthrottled: CycleTrace | None = None
 
 
-def diurnal_activity(x, hour_of_day, hours_per_day: int = HOURS_PER_DAY) -> float | np.ndarray:
+def diurnal_activity(x, hour_of_day) -> float | np.ndarray:
     """Hour-dependent activity probability around the mean level x.
 
-    A sine with a period of one day of ``hours_per_day`` hours, peaking at
-    16:00 and crossing the mean at 10:00 on a 24-hour clock scaled to that
-    day, and scaled so the result stays in [0, 1] for any x in (0, 1].  Over
-    a day of two or more hours it averages to x.  x and hour_of_day
-    broadcast against each other.
+    A sine with a period of one day, peaking at 16:00 and crossing the mean
+    at 10:00, and scaled so the result stays in [0, 1] for any x in (0, 1].
+    Over the day's ``HOURS_PER_DAY`` hours it averages to x.  x and
+    hour_of_day broadcast against each other.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all((0 < xs) & (xs <= 1)):
         raise ValidationError(f"x must be in (0, 1], got {x}")
-    hpd = hours_per_day
     hour = np.asarray(hour_of_day)
-    if np.any(hour < 0) or np.any(hour >= hpd):
-        raise ValidationError(f"hour_of_day must be in 0..{hpd - 1}")
+    if np.any(hour < 0) or np.any(hour >= HOURS_PER_DAY):
+        raise ValidationError(f"hour_of_day must be in 0..{HOURS_PER_DAY - 1}")
     swing = 0.5 * np.minimum(xs, 1.0 - xs)
-    out = swing * np.sin(2.0 * np.pi / hpd * (hour - 10 * hpd / 24)) + xs
+    out = swing * np.sin(2.0 * np.pi / HOURS_PER_DAY * (hour - 10)) + xs
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _active(uniforms: np.ndarray, x: np.ndarray, hours_per_day: int, diurnal: bool) -> np.ndarray:
-    """uniforms < each row's activity probability; column j is hour j % hours_per_day."""
+def _active(uniforms: np.ndarray, x: np.ndarray, diurnal: bool) -> np.ndarray:
+    """uniforms < each row's activity probability; column j is hour j % HOURS_PER_DAY."""
     if not diurnal:
         return uniforms < x[:, None]
-    table = diurnal_activity(x[:, None], np.arange(hours_per_day), hours_per_day)
-    days = uniforms.reshape(len(x), -1, hours_per_day)
+    table = diurnal_activity(x[:, None], np.arange(HOURS_PER_DAY))
+    days = uniforms.reshape(len(x), -1, HOURS_PER_DAY)
     return (days < table[:, None, :]).reshape(uniforms.shape)
 
 
@@ -173,19 +172,17 @@ def _chunk(uniforms, burns, cols, config, work):
 
     The rows' columns come in ``cols`` (see ``simulate``); the results are views into ``work``.
     """
-    hpd = config.hours_per_day
-    cycle = config.days_per_cycle * hpd
     k = len(burns)
     step_full, step_slow, onset, x, y = cols
     before, p, ax, a, consume, free = (w[:k] for w in work)
     hours = p.shape[1]
-    active_x = _active(uniforms, x, hpd, config.diurnal)
+    active_x = _active(uniforms, x, config.diurnal)
     # exclusive count of earlier active hours in each cycle
-    blocks, counts = active_x.reshape(k, -1, cycle), before.reshape(k, -1, cycle)
+    blocks, counts = active_x.reshape(k, -1, _CYCLE_HOURS), before.reshape(k, -1, _CYCLE_HOURS)
     counts[..., 0] = 0
     np.cumsum(blocks[..., :-1], axis=2, dtype=before.dtype, out=counts[..., 1:])
     pre = before < onset[:, None]
-    active = active_x if y is None else _active(uniforms, y, hpd, config.diurnal)
+    active = active_x if y is None else _active(uniforms, y, config.diurnal)
     for i, b in enumerate(burns):
         w = slice(b, b + hours)
         p[i], ax[i], a[i] = pre[i, w], active_x[i, w], active[i, w]
@@ -277,9 +274,8 @@ def simulate(pop: Population, config: SimConfig) -> CycleTrace:
     n = len(pop)
     if n > _MAX_STREAMS:
         raise ValidationError(f"at most {_MAX_STREAMS} users get their own stream, got {n}")
-    plan, hpd = config.plan, config.hours_per_day
-    hours = config.horizon_days * hpd
-    cycle = config.days_per_cycle * hpd
+    plan, cycle = config.plan, _CYCLE_HOURS
+    hours = config.horizon_days * HOURS_PER_DAY
     total, free_total = np.zeros(hours), np.zeros(hours)
     per_user, free_per_user = np.zeros(n), np.zeros(n)
     states = np.zeros((n, hours), dtype=np.int8) if config.record_states else None
@@ -305,8 +301,8 @@ def simulate(pop: Population, config: SimConfig) -> CycleTrace:
         hi = min(lo + CHUNK_USERS, n)
         burns = []
         for i, rng in enumerate(islice(rngs, hi - lo)):
-            starts.append(int(rng.integers(0, config.days_per_cycle)))
-            burns.append((cycle - starts[-1] * hpd) % cycle)
+            starts.append(int(rng.integers(0, DAYS_PER_CYCLE)))
+            burns.append((cycle - starts[-1] * HOURS_PER_DAY) % cycle)
             rng.random(out=buffer[i, : burns[-1] + hours])
         chunk_cols = tuple(None if c is None else c[lo:hi] for c in cols)
         consume, state, free = _chunk(buffer[: hi - lo], burns, chunk_cols, config, work)
@@ -317,18 +313,17 @@ def simulate(pop: Population, config: SimConfig) -> CycleTrace:
         if states is not None:
             states[lo:hi] = state
     starts = np.array(starts, dtype=np.int64)
-    free = CycleTrace(free_total, free_per_user, starts, hpd)
-    return CycleTrace(total, per_user, starts, hpd, states, free)
+    free = CycleTrace(free_total, free_per_user, starts)
+    return CycleTrace(total, per_user, starts, per_user_state=states, unthrottled=free)
 
 
 def daily_average(trace: CycleTrace | np.ndarray) -> np.ndarray:
     """Mean hourly consumption per full day; a trailing partial day is dropped."""
     series = trace.hourly_total if isinstance(trace, CycleTrace) else np.asarray(trace)
-    hpd = trace.hours_per_day if isinstance(trace, CycleTrace) else HOURS_PER_DAY
-    days = series.size // hpd
+    days = series.size // HOURS_PER_DAY
     if days == 0:
         return np.empty(0)
-    return series[: days * hpd].reshape(days, hpd).mean(axis=1)
+    return series[: days * HOURS_PER_DAY].reshape(days, HOURS_PER_DAY).mean(axis=1)
 
 
 def variability_ratio(throttled: CycleTrace, unthrottled: CycleTrace) -> float:

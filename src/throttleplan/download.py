@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -83,12 +83,14 @@ class KickEvent(NamedTuple):
 class DownloadSolution:
     """A plan with its regret.
 
-    ``intervals`` is always empty: the scan keeps no per-interval records.
+    The scan keeps no per-interval records, so ``intervals`` is an empty class
+    constant, not a field; the benchmark's tracer (``perfbench/tracing.py``) reads it.
     """
+
+    intervals: ClassVar[tuple[()]] = ()
 
     plan: Plan
     regret: float
-    intervals: tuple[()] = ()
 
 
 #: Most points a sampled curve or a split sweep may have; a finer step is

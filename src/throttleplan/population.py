@@ -303,14 +303,14 @@ def _check_seed(seed: int) -> None:
 def generate_codec_uniform(
     n: int,
     codec_rates: Sequence[float],
-    activity_grid: Sequence[float] | None = None,
+    *,
     seed: int = DEFAULT_SEED,
 ) -> Population:
     """Users with rates drawn uniformly from a codec ladder.
 
-    Activities are drawn uniformly from ``activity_grid`` (defaults to the
-    percent grid {0.01, ..., 1.00}).  Ids are assigned 0..n-1 by rate
-    ascending, so the same seed always produces the identical population.
+    Activities are drawn uniformly from the percent grid {0.01, ..., 1.00}.
+    Ids are assigned 0..n-1 by rate ascending, so the same seed always
+    produces the identical population.
     """
     if n <= 0:
         raise ValidationError(f"n must be positive, got {n}")
@@ -318,9 +318,7 @@ def generate_codec_uniform(
     rates = np.asarray(sorted(codec_rates), dtype=float)
     if rates.size == 0 or rates[0] <= 0:
         raise ValidationError("codec rates must be positive")
-    grid = np.asarray(
-        DEFAULT_ACTIVITY_GRID if activity_grid is None else sorted(activity_grid), dtype=float
-    )
+    grid = np.asarray(DEFAULT_ACTIVITY_GRID, dtype=float)
     rng = np.random.default_rng(seed)
     chosen_rates = rng.choice(rates, size=n)
     chosen_acts = rng.choice(grid, size=n)
@@ -351,17 +349,15 @@ def generate_lognormal(
     return Population._from_columns(np.arange(n), rates, np.full(n, activity))
 
 
-def assign_tiers_binomial(pop: Population, n_tiers: int = 3, seed: int = DEFAULT_SEED) -> Population:
+def assign_tiers_binomial(pop: Population, *, seed: int = DEFAULT_SEED) -> Population:
     """Random initial tier assignment biased by desired rate.
 
-    Each user flips ``n_tiers - 1`` coins and joins the tier indexed by the
-    number of heads.  The heads probability grows with the user's rate third:
+    Each user flips two coins and joins the tier indexed by the number of
+    heads.  The heads probability grows with the user's rate third:
     0.2 for the bottom third, 0.5 for the middle, 0.8 for the top, so faster
-    users tend to start in more expensive tiers.  Requires three tiers (the
-    thirds scheme does not generalize cleanly).
+    users tend to start in more expensive tiers.  The scheme is defined for
+    three tiers only (the thirds do not generalize cleanly).
     """
-    if n_tiers != 3:
-        raise ValidationError("binomial tier seeding is defined for exactly 3 tiers")
     _check_seed(seed)
     n = len(pop)
     base, rem = divmod(n, 3)
@@ -372,5 +368,5 @@ def assign_tiers_binomial(pop: Population, n_tiers: int = 3, seed: int = DEFAULT
     probs[sizes[0] : sizes[0] + sizes[1]] = 0.5
     probs[sizes[0] + sizes[1] :] = 0.8
     rng = np.random.default_rng(seed)
-    tiers = rng.binomial(n_tiers - 1, probs)
+    tiers = rng.binomial(2, probs)
     return pop.with_tiers([int(t) for t in tiers])

@@ -16,7 +16,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .allocation import Mode, Plan, _check_capacity, threshold_for_rate
+from .allocation import (
+    Mode,
+    Plan,
+    _check_capacity,
+    _consumption_arrays,
+    max_threshold,
+    threshold_for_rate,
+)
 from .download import _threshold_grid
 from .errors import InfeasibleError, ValidationError
 from .population import Population
@@ -122,9 +129,7 @@ def streaming_curve(
     _check_capacity(capacity)
     if capacity >= pop.total_demand:
         raise ValidationError("curve is undefined when capacity covers demand")
-    from .allocation import _consumption_arrays, max_threshold
-
-    grid = _threshold_grid(max_threshold(pop, capacity, Mode.STREAMING).threshold, step)
+    grid = _threshold_grid(max_threshold(pop, capacity).threshold, step)
     d, R, x = pop.demands, pop.rates, pop.activities
     rows = []
     for t in grid:

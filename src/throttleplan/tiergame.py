@@ -763,7 +763,7 @@ def stackelberg_iterate(
     n = len(pop)
     k = len(prices)
     if k == 3:
-        tier_of = tuple(assign_tiers_binomial(pop, 3, seed).tiers())
+        tier_of = tuple(assign_tiers_binomial(pop, seed=seed).tiers())
     else:
         # deterministic rate-order chunks when the coin scheme does not apply
         base, rem = divmod(n, k)

@@ -267,24 +267,38 @@ def _monotone_up_to_ties(rates, tiers) -> bool:
 CRITERION_08_OUTCOMES_SHA256 = "2c2c881be17a7f6e6615bafd72aac74a3835e5fd8f02901dd8b29bd1ffa0265c"
 
 
-def test_criterion_08_stackelberg_convergence():
+CRITERION_08_PRICES = (0.5, 0.75, 1.0)
+
+
+@pytest.fixture(scope="module")
+def criterion_08_games():
+    """([(population, report)] for seeds 0-9, seconds taken): one run shared by both gates."""
     t0 = time.perf_counter()
-    prices = (0.5, 0.75, 1.0)
-    converged = 0
-    failures = []
-    outcomes = hashlib.sha256()
+    games = []
     for seed in range(10):
         pop = generate_lognormal(300, 0.0, 0.5, seed=seed)
         report = stackelberg_iterate(
-            pop, prices, 0.95 * pop.total_demand, kappa=0.05, max_iters=100, seed=seed
+            pop, CRITERION_08_PRICES, 0.95 * pop.total_demand, kappa=0.05, max_iters=100,
+            seed=seed,
         )
+        games.append((pop, report))
+    return games, time.perf_counter() - t0
+
+
+def test_criterion_08_stackelberg_convergence(criterion_08_games):
+    t0 = time.perf_counter()
+    games, run_s = criterion_08_games
+    converged = 0
+    failures = []
+    outcomes = hashlib.sha256()
+    for seed, (pop, report) in enumerate(games):
         line = f"{report.assignment.class_id},{report.iterations},{report.converged}\n"
         outcomes.update(line.encode())
         if report.converged:
             converged += 1
             if not _monotone_up_to_ties(pop.rates, report.assignment.tier_of):
                 failures.append(f"seed {seed}: converged assignment not monotone in rate")
-    elapsed = time.perf_counter() - t0
+    elapsed = run_s + time.perf_counter() - t0
     if outcomes.hexdigest() != CRITERION_08_OUTCOMES_SHA256:
         failures.append("final class IDs, iteration counts or convergence flags changed")
     if converged < 8:
@@ -295,6 +309,34 @@ def test_criterion_08_stackelberg_convergence():
         "criterion 8 (leader/follower convergence)",
         failures,
         f"converged {converged}/10, all monotone in rate; elapsed={elapsed:.1f}s",
+    )
+
+
+def test_criterion_08_converged_reports_are_nash_at_their_shares(criterion_08_games):
+    # holds whatever the trajectory, so it still gates a change that re-pins the hash above
+    t0 = time.perf_counter()
+    games, _ = criterion_08_games
+    failures = []
+    checked = 0
+    for seed, (pop, report) in enumerate(games):
+        if not report.converged:
+            continue
+        checked += 1
+        cap = 0.95 * pop.total_demand
+        gap = abs(sum(report.capacity_shares) - cap)
+        if gap > 1e-6 * max(1.0, cap):
+            failures.append(f"seed {seed}: shares sum to capacity {cap:.6g} only within {gap:.3g}")
+        config = TierConfig(CRITERION_08_PRICES, 0.05, report.capacity_shares)
+        nash, improving = check_equilibrium(pop, config, report.assignment)
+        if not nash:
+            failures.append(f"seed {seed}: {len(improving)} improving moves at the report's shares")
+    if not checked:
+        failures.append("no converged report to check")
+    elapsed = time.perf_counter() - t0
+    _gate(
+        "criterion 8 (converged reports are Nash at their shares)",
+        failures,
+        f"{checked} converged reports checked; elapsed={elapsed:.2f}s",
     )
 
 

@@ -127,9 +127,14 @@ def test_max_threshold_download(pop4):
 
 
 def test_max_threshold_streaming(stream3):
-    bound = max_threshold(stream3, 0.9, Mode.STREAMING)
+    bound = max_threshold(stream3, 0.9)
     assert bound.threshold == pytest.approx(0.35)
     assert bound.throttled == frozenset({1, 2})
+    # the zero-rate bound is the same in both modes, so no mode is taken
+    with pytest.raises(TypeError):
+        max_threshold(stream3, 0.9, Mode.STREAMING)
+    with pytest.raises(TypeError):
+        max_threshold(stream3, 0.9, mode=Mode.STREAMING)
 
 
 def test_max_threshold_no_throttling_needed(pop4):

@@ -124,7 +124,7 @@ def test_rate_for_threshold_inverts_threshold_for_rate(case):
 @given(instances(zero_rate=True))
 def test_max_threshold_is_the_zero_rate_threshold(case):
     pop, mode, capacity, _ = case
-    bound = max_threshold(pop, capacity, mode)
+    bound = max_threshold(pop, capacity)
     t0 = threshold_for_rate(pop, capacity, 0.0, mode)
     assert bound.threshold == pytest.approx(t0, rel=1e-12, abs=0.0)
     assert bound.throttled == frozenset(np.flatnonzero(pop.demands > bound.threshold).tolist())

@@ -17,6 +17,7 @@ from throttleplan import (
     SweepPoint,
     UserProfile,
     UserState,
+    generate_codec_uniform,
     generate_lognormal,
     load_population,
     save_population,
@@ -633,9 +634,12 @@ SMALL_RHO = ("error: download optimization requires rho >= 2; smaller exponents 
 SWEEP = ["tiers", "sweep", "--capacity", 1.8, "--split-step", 0.5]
 STACKELBERG = ["tiers", "stackelberg", "--capacity", 1.8]
 OUT = object()  # stands for an output prefix in the test's own directory
+# a population in the arguments is written out and passed as --pop in place of pop4
+CODEC6 = generate_codec_uniform(6, (1.0, 2.0), seed=1)  # generate --dist codec:v=1,2 --n 6 --seed 1
+QUIET = Population([UserProfile(0, 1.0, 0.0001)])  # no active hour in 30 days at the default seed
 
 
-# refused before the command=... line: (arguments but --pop, expected error line)
+# refused before the command=... line: (arguments but a pop4 --pop, expected stderr line or lines)
 @pytest.mark.parametrize("argv, expected", [
     pytest.param(["optimize", "--capacity", 1.8, "--rho", 1.5], SMALL_RHO, id="optimize-rho"),
     pytest.param(["optimize", "--capacity", 1.8, "--mode", "stream"],
@@ -664,13 +668,27 @@ OUT = object()  # stands for an output prefix in the test's own directory
     pytest.param(["simulate", "--capacity", 1.8, "--plan", "0.3,inf", "--out-prefix", OUT],
                  "error: a throttling plan needs a finite rate, got T=0.3 r=inf",
                  id="simulate-plan-infinite-rate"),
+    pytest.param(["optimize", CODEC6, "--mode", "stream", "--capacity-fraction", 0,
+                  "--codecs", "2,1.5"],
+                 "error: no codec rate admits a feasible threshold at capacity 0.0 (rate 1.5: "
+                 "floor consumption exceeds capacity, rate 2.0: floor consumption exceeds "
+                 "capacity)", id="optimize-stream-no-feasible-codec"),
+    pytest.param(["simulate", QUIET, "--capacity", 0.5, "--plan", "0.3,0.1", "--days", 30,
+                  "--out-prefix", OUT],
+                 ["variability_ratio: excluded 720 zero-consumption hours",
+                  "error: unthrottled trace is zero everywhere"],
+                 id="simulate-zero-unthrottled-trace"),
 ])
-def test_refusals_print_nothing_to_stdout(pop4, tmp_path, argv, expected):
-    path = write_pop(pop4, tmp_path)
-    code, out, err = run([tmp_path / "x" if a is OUT else a for a in argv] + ["--pop", path])
+def test_refusals_print_nothing_to_stdout(pop4, tmp_path, caplog, argv, expected):
+    pop = next((a for a in argv if isinstance(a, Population)), pop4)
+    path = write_pop(pop, tmp_path)
+    argv = [tmp_path / "x" if a is OUT else a for a in argv if a is not pop]
+    code, out, err = run(argv + ["--pop", path])
     assert code == 2
     assert out == ""
-    assert err.splitlines() == [expected]
+    # logged warnings reach stderr ahead of the error line; pytest captures them apart
+    assert caplog.messages + err.splitlines() == (
+        [expected] if isinstance(expected, str) else expected)
     assert not list(tmp_path.glob("x*"))
 
 

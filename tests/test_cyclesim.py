@@ -41,43 +41,39 @@ def test_diurnal_activity_validation():
         diurnal_activity(0.5, -1)
     with pytest.raises(ValidationError):
         diurnal_activity(0.5, 24)
+    # the day is always 24 hours: a day length is no longer taken
+    with pytest.raises(TypeError):
+        diurnal_activity(0.5, 12, 24)
+    with pytest.raises(TypeError):
+        diurnal_activity(0.5, 12, hours_per_day=24)
 
 
-@pytest.mark.parametrize("hpd", [2, 12, 24, 25, 48])
-def test_diurnal_profile_averages_to_x_over_any_day(hpd):
+def test_diurnal_profile_averages_to_x_over_the_day():
     x = np.array([[0.05], [0.5], [0.9], [1.0]])
-    profile = diurnal_activity(x, np.arange(hpd), hpd)
+    profile = diurnal_activity(x, np.arange(24))
     assert np.all((0.0 <= profile) & (profile <= 1.0))
     assert profile.mean(axis=1) == pytest.approx(x[:, 0], abs=1e-15)
-    with pytest.raises(ValidationError, match=f"0..{hpd - 1}"):
-        diurnal_activity(0.5, hpd, hpd)
-
-
-def test_diurnal_profile_at_24_hours_is_the_default():
-    hours = np.arange(24)
-    assert diurnal_activity(0.3, hours, 24).tobytes() == diurnal_activity(0.3, hours).tobytes()
-
-
-def test_diurnal_simulation_runs_on_a_long_day():
-    pop = Population([UserProfile(0, 1.0, 0.5), UserProfile(1, 0.4, 0.9)])
-    config = SimConfig(Plan(0.3, 0.1, Mode.STREAMING), horizon_days=3, days_per_cycle=2,
-                       hours_per_day=25, diurnal=True, seed=2)
-    assert simulate(pop, config).hourly_total.shape == (75,)
+    with pytest.raises(ValidationError, match="0..23"):
+        diurnal_activity(0.5, 24)
 
 
 def test_config_rejects_a_diurnal_one_hour_day():
-    plan = Plan(0.3, 0.1, Mode.DOWNLOAD)
-    with pytest.raises(ValidationError, match="at least 2 hours per day"):
-        SimConfig(plan, hours_per_day=1, diurnal=True)
-    SimConfig(plan, hours_per_day=1)
+    # the calendar is fixed at 30-day cycles of 24 hours and takes no other
+    with pytest.raises(TypeError):
+        SimConfig(Plan(0.3, 0.1, Mode.DOWNLOAD), hours_per_day=1, diurnal=True)
 
 
 def test_config_validation():
     plan = Plan(0.3, 0.1, Mode.DOWNLOAD)
     with pytest.raises(ValidationError, match="at least one 30-day cycle"):
         SimConfig(plan, horizon_days=29)
-    with pytest.raises(ValidationError):
-        SimConfig(plan, horizon_days=30, hours_per_day=0)
+    for calendar in ({"hours_per_day": 0}, {"days_per_cycle": 30}):
+        with pytest.raises(TypeError):
+            SimConfig(plan, horizon_days=30, **calendar)
+    with pytest.raises(TypeError):
+        SimConfig(plan, 30, False, 1, 30)
+    # a class constant, which the benchmark's tracer reads
+    assert SimConfig(plan, horizon_days=30).hours_per_day == 24
 
 
 def test_always_on_user_consumes_flat():
@@ -187,6 +183,11 @@ def test_daily_average_from_trace():
     days = daily_average(trace)
     assert days.shape == (31,)
     assert days == pytest.approx(np.full(31, 1.0 / CYCLE_HOURS))
+    columns = (trace.hourly_total, trace.per_user_total, trace.start_days)
+    with pytest.raises(TypeError):  # a trace's days are always 24 hours
+        CycleTrace(*columns, hours_per_day=24)
+    with pytest.raises(TypeError):
+        CycleTrace(*columns, 24)
 
 
 def test_daily_average_drops_partial_day():
@@ -199,7 +200,7 @@ def test_daily_average_drops_partial_day():
 
 def _trace(values) -> CycleTrace:
     arr = np.asarray(values, dtype=float)
-    return CycleTrace(arr, np.array([arr.sum()]), np.array([0]), 24)
+    return CycleTrace(arr, np.array([arr.sum()]), np.array([0]))
 
 
 def test_variability_ratio_of_identical_traces_is_zero():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from throttleplan import (
+    DownloadSolution,
     KickKind,
     Mode,
     Plan,
@@ -110,8 +111,12 @@ def test_intervals_worked_instance(pop4):
 
 def test_solution_carries_no_interval_records(pop4):
     sol = optimize_download(pop4, 1.8, P2)
-    assert sol.intervals == ()
+    assert sol.intervals == ()  # a class constant, which the benchmark's tracer reads
     assert sol.regret == pytest.approx(0.1659410854222299, rel=1e-12)
+    with pytest.raises(TypeError):
+        DownloadSolution(sol.plan, sol.regret, intervals=())
+    with pytest.raises(TypeError):
+        DownloadSolution(sol.plan, sol.regret, ())
 
 
 def test_single_user_plateau():

@@ -128,8 +128,13 @@ def test_generate_codec_uniform_draws_from_grids():
 
 
 def test_generate_codec_uniform_custom_activity_grid():
-    pop = generate_codec_uniform(50, (0.5,), activity_grid=(0.25, 0.75), seed=1)
-    assert {u.activity for u in pop} <= {0.25, 0.75}
+    # activities always come from the percent grid; the seed is keyword-only
+    with pytest.raises(TypeError):
+        generate_codec_uniform(50, (0.5,), activity_grid=(0.25, 0.75), seed=1)
+    with pytest.raises(TypeError):
+        generate_codec_uniform(50, (0.5,), (0.25, 0.75))
+    with pytest.raises(TypeError):
+        generate_codec_uniform(50, (0.5,), 1)
 
 
 def test_assign_tiers_binomial_three_tiers():
@@ -145,9 +150,13 @@ def test_assign_tiers_binomial_three_tiers():
 
 
 def test_assign_tiers_binomial_rejects_other_counts():
+    # three tiers only, and no tier count is taken; the seed is keyword-only,
+    # so an old positional count is refused rather than read as the seed
     pop = generate_lognormal(10, 0.0, 0.5, seed=1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError):
         assign_tiers_binomial(pop, n_tiers=2, seed=1)
+    with pytest.raises(TypeError):
+        assign_tiers_binomial(pop, 3)
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])

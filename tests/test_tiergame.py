@@ -7,6 +7,7 @@ from scipy.optimize import OptimizeResult
 
 from throttleplan import (
     Assignment,
+    InfeasibleError,
     Plan,
     Population,
     RegretParams,
@@ -355,6 +356,18 @@ def test_stackelberg_refuses_a_negative_seed_before_any_solve(monkeypatch):
     with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
         stackelberg_iterate(pop, (0.5, 0.75, 1.0), 0.8 * pop.total_demand, 0.05, max_iters=0,
                             seed=-1)
+
+
+@pytest.mark.xfail(raises=InfeasibleError, strict=True,
+                   reason="ROADMAP item 2: the leader's search box starts at the smallest "
+                          "demand, so a low capacity is refused though T = r = 0 is feasible")
+def test_stackelberg_accepts_a_low_capacity():
+    # criterion 8's seed-0 population at C = 0.3 D
+    pop = generate_lognormal(300, 0.0, 0.5, seed=0)
+    capacity = 0.3 * pop.total_demand
+    report = stackelberg_iterate(pop, (0.5, 0.75, 1.0), capacity, 0.05, max_iters=1, seed=0)
+    assert report.iterations == 1
+    assert sum(report.capacity_shares) <= capacity * (1 + 1e-9)
 
 
 def test_config_rejects_non_finite_values():

@@ -97,7 +97,7 @@ def _reference_stackelberg(pop, prices, capacity, kappa, seed, max_iters=tiergam
     params = RegretParams(kappa=kappa)
     n, k = len(pop), len(prices)
     if k == 3:
-        tier_of = tuple(assign_tiers_binomial(pop, 3, seed).tiers())
+        tier_of = tuple(assign_tiers_binomial(pop, seed=seed).tiers())
     else:
         base, rem = divmod(n, k)
         chunks: list[int] = []
